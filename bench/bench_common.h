@@ -9,9 +9,9 @@
 // Environment knobs:
 //   EMX_CACHE_DIR    zoo cache location   (default /tmp/emx_zoo_bench)
 //   EMX_SCALE        multiplier on the per-dataset pair scales (default 1)
-//   EMX_EPOCHS       fine-tuning epochs for figure benches (default 8)
+//   EMX_EPOCHS       fine-tuning epochs for figure benches (default 5)
 //   EMX_RUNS         runs to average (paper uses 5; default 1)
-//   EMX_PRETRAIN_STEPS  pre-training steps (default 1500)
+//   EMX_PRETRAIN_STEPS  pre-training steps (default 1200)
 
 #include <cstdio>
 #include <cstdlib>

@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(retrieve_k), recall);
 
   // ---- Persistence gate ----------------------------------------------------
-  const std::string index_path = "/tmp/emx_bench_retrieval_index.bin";
+  const std::string index_path = "/tmp/emx_bench_retrieval_index.emxm";
   Timer save_timer;
   bool save_load_ok = index.Save(index_path).ok();
   const double save_s = save_timer.ElapsedSeconds();

@@ -9,8 +9,9 @@
 //
 //   ./catalog_search [--records N] [--queries N] [--save=PATH]
 //
-// --save=PATH round-trips the catalog through its binary format before
-// querying, demonstrating that persisted indexes answer identically.
+// --save=PATH round-trips the catalog (texts and index in one EMXM
+// container) before querying, demonstrating that persisted catalogs
+// answer identically.
 //
 // The backbone keeps its random init so the demo starts in seconds; the
 // retrieval tier's ranking (which needs no training) is what to watch.

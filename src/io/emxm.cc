@@ -20,7 +20,22 @@ bool RangeOk(uint64_t offset, uint64_t bytes, uint64_t limit) {
 
 bool KnownKind(uint32_t kind) {
   return kind >= static_cast<uint32_t>(SectionKind::kF32Tensor) &&
-         kind <= static_cast<uint32_t>(SectionKind::kManifest);
+         kind <= static_cast<uint32_t>(SectionKind::kBytes);
+}
+
+/// Element size of a vector kind; 0 for the other kinds.
+uint64_t ElementBytes(SectionKind kind) {
+  switch (kind) {
+    case SectionKind::kF32Vec:
+    case SectionKind::kI32Vec:
+      return 4;
+    case SectionKind::kU64Vec:
+      return 8;
+    case SectionKind::kBytes:
+      return 1;
+    default:
+      return 0;
+  }
 }
 
 // Caps far above any real model, far below an allocation that could hurt.
@@ -33,7 +48,7 @@ void EmxmWriter::AddSection(std::string name, SectionKind kind,
                             const std::array<uint64_t, 6>& aux,
                             const void* payload, uint64_t payload_bytes) {
   sections_.push_back(
-      Pending{std::move(name), kind, aux, payload, payload_bytes});
+      Pending{std::move(name), kind, aux, payload, payload_bytes, nullptr});
 }
 
 Status EmxmWriter::WriteFile(const std::string& path) const {
@@ -212,6 +227,53 @@ Result<std::shared_ptr<const EmxmReader>> EmxmReader::Open(
 const Section* EmxmReader::Find(std::string_view name) const {
   const auto it = by_name_.find(std::string(name));
   return it == by_name_.end() ? nullptr : &sections_[it->second];
+}
+
+Result<const Section*> EmxmReader::FindVector(std::string_view name,
+                                              SectionKind kind) const {
+  const Section* s = Find(name);
+  if (s == nullptr) {
+    return Status::NotFound("section '" + std::string(name) +
+                            "' missing in " + path());
+  }
+  const uint64_t elem = ElementBytes(kind);
+  // Division, not multiplication: a hostile count cannot wrap past the
+  // payload size it is checked against.
+  if (s->kind != kind || elem == 0 || s->bytes % elem != 0 ||
+      s->aux[0] != s->bytes / elem) {
+    return Status::InvalidArgument("section '" + std::string(name) +
+                                   "' in " + path() +
+                                   " has the wrong kind or element count");
+  }
+  return s;
+}
+
+Result<std::vector<std::string_view>> EmxmReader::FindStrings(
+    const std::string& name) const {
+  EMX_ASSIGN_OR_RETURN(const Section* blob,
+                       FindVector(name, SectionKind::kBytes));
+  EMX_ASSIGN_OR_RETURN(const Section* ends,
+                       FindVector(name + ":end", SectionKind::kU64Vec));
+  const char* chars = blob->As<char>();
+  const uint64_t* end = ends->As<uint64_t>();
+  std::vector<std::string_view> out;
+  out.reserve(ends->aux[0]);
+  uint64_t begin = 0;
+  for (uint64_t i = 0; i < ends->aux[0]; ++i) {
+    if (end[i] < begin || end[i] > blob->bytes) {
+      return Status::InvalidArgument("string " + std::to_string(i) +
+                                     " of '" + name + "' in " + path() +
+                                     " is out of bounds");
+    }
+    out.emplace_back(chars + begin, end[i] - begin);
+    begin = end[i];
+  }
+  if (begin != blob->bytes) {
+    return Status::InvalidArgument("'" + name + "' in " + path() + " has " +
+                                   std::to_string(blob->bytes - begin) +
+                                   " unreferenced trailing bytes");
+  }
+  return out;
 }
 
 }  // namespace io

@@ -31,14 +31,14 @@ namespace io {
 //   | ...                         |
 //   +-----------------------------+  header.file_bytes == file size
 //
-// Every multi-byte field is little-endian. The earlier "EMXP"/"EMXQ"
-// formats wrote host-endian structs through ofstream, which happened to be
-// LE on every machine this repo targets but was an accident of the build
-// host; the container makes the contract explicit and enforces it at
-// compile time (the static_asserts below), so a mapped file is readable
-// by pointer on any supported platform with zero parsing. Payloads are
-// 64-byte aligned so an int8 weight tile or an fp32 tensor row can be
-// loaded with aligned SIMD instructions straight out of the mapping.
+// It is the repo's only binary file format: model checkpoints (fp32 and
+// int8), the retrieval index and the catalog all persist through it, so
+// one validating reader guards every load path. Every multi-byte field is
+// little-endian, enforced at compile time (the static_asserts below), so
+// a mapped file is readable by pointer on any supported platform with
+// zero parsing. Payloads are 64-byte aligned so an int8 weight tile or an
+// fp32 tensor row can be loaded with aligned SIMD instructions straight
+// out of the mapping.
 
 static_assert(std::endian::native == std::endian::little,
               "EMXM1 containers are little-endian and read in place; "
@@ -69,7 +69,8 @@ enum class SectionKind : uint32_t {
   kInt8Packed = 2,
   /// fp32 vector. aux[0] = count; payload = 4 * count bytes.
   kF32Vec = 3,
-  /// int32 vector. aux[0] = count; payload = 4 * count bytes.
+  /// 32-bit integer vector. aux[0] = count; payload = 4 * count bytes.
+  /// int32 (int8 column sums) or uint32 (posting ids), per section owner.
   kI32Vec = 4,
   /// Fused-FFN metadata, no payload. aux = {activation,
   /// f32-bits(mid_scale), mid_zero_point}.
@@ -77,6 +78,14 @@ enum class SectionKind : uint32_t {
   /// Model manifest: payload = architecture name (unterminated bytes);
   /// aux = {fp32 tensor count, int8 linear count, ffn count}.
   kManifest = 6,
+  /// u64 vector. aux[0] = count; payload = 8 * count bytes. aux[1..5] are
+  /// free for the owner's scalar header values (the retrieval index keeps
+  /// its options there).
+  kU64Vec = 7,
+  /// Byte blob. aux[0] = count; payload = count bytes. A list of strings
+  /// (EmxmWriter::AddStrings) is one kBytes section "<name>" holding them
+  /// concatenated plus one kU64Vec "<name>:end" of their end offsets.
+  kBytes = 8,
 };
 
 /// Round-trips a float through the u64 aux slots.
@@ -122,13 +131,21 @@ struct Section {
   std::array<uint64_t, 6> aux{};
   const uint8_t* data = nullptr;
   uint64_t bytes = 0;
+
+  /// The payload as an element array. Only meaningful for a section
+  /// returned by EmxmReader::FindVector (count checked, 64-byte aligned).
+  template <typename T>
+  const T* As() const {
+    return reinterpret_cast<const T*>(data);
+  }
 };
 
 /// Accumulates sections, then writes the container in one pass through an
 /// AtomicFileWriter (the publish primitive hot-swap watchers rely on:
 /// `path` either holds the old complete file or the new complete file,
-/// never a torn intermediate). Payload pointers are borrowed — they must
-/// stay valid until WriteFile returns; nothing is copied.
+/// never a torn intermediate). AddSection borrows its payload pointer —
+/// it must stay valid until WriteFile returns; nothing is copied.
+/// AddVector/AddStrings take ownership of the payload they write.
 class EmxmWriter {
  public:
   /// `payload` may be null iff `payload_bytes` is 0.
@@ -136,11 +153,34 @@ class EmxmWriter {
                   const std::array<uint64_t, 6>& aux, const void* payload,
                   uint64_t payload_bytes);
 
-  Status WriteFile(const std::string& path) const;
-
-  int64_t section_count() const {
-    return static_cast<int64_t>(sections_.size());
+  /// Adds a vector section (kF32Vec, kI32Vec, kU64Vec or kBytes) that owns
+  /// its payload, so the caller's buffer may die before WriteFile. aux[0]
+  /// is set to the element count; aux[1..5] are taken from `aux`.
+  template <typename Container>
+  void AddVector(std::string name, SectionKind kind, Container values,
+                 std::array<uint64_t, 6> aux = {}) {
+    auto owned = std::make_shared<const Container>(std::move(values));
+    aux[0] = owned->size();
+    AddSection(std::move(name), kind, aux, owned->data(),
+               owned->size() * sizeof(typename Container::value_type));
+    sections_.back().keepalive = std::move(owned);
   }
+
+  /// Adds a string list as the kBytes/kU64Vec section pair described at
+  /// SectionKind::kBytes. `strings` is any range of string-likes.
+  template <typename Range>
+  void AddStrings(const std::string& name, const Range& strings) {
+    std::string blob;
+    std::vector<uint64_t> ends;
+    for (const auto& s : strings) {
+      blob.append(s);
+      ends.push_back(blob.size());
+    }
+    AddVector(name, SectionKind::kBytes, std::move(blob));
+    AddVector(name + ":end", SectionKind::kU64Vec, std::move(ends));
+  }
+
+  Status WriteFile(const std::string& path) const;
 
  private:
   struct Pending {
@@ -149,6 +189,7 @@ class EmxmWriter {
     std::array<uint64_t, 6> aux;
     const void* payload;
     uint64_t payload_bytes;
+    std::shared_ptr<const void> keepalive;  // set by AddVector
   };
   std::vector<Pending> sections_;
 };
@@ -169,6 +210,18 @@ class EmxmReader {
   const std::vector<Section>& sections() const { return sections_; }
   /// Null when no section has that name.
   const Section* Find(std::string_view name) const;
+  /// The vector section `name` (kF32Vec, kI32Vec, kU64Vec or kBytes),
+  /// checked to be of `kind` with aux[0] elements filling its payload
+  /// exactly. Since Open bounds-checked every payload, the returned count
+  /// is bounded by the file size — loaders size allocations from it, never
+  /// from an unchecked header value. NotFound when absent.
+  Result<const Section*> FindVector(std::string_view name,
+                                    SectionKind kind) const;
+  /// The string list written by EmxmWriter::AddStrings, as views into the
+  /// mapping (valid while this reader lives). Rejects end offsets that
+  /// decrease or do not finish exactly at the end of the blob.
+  Result<std::vector<std::string_view>> FindStrings(
+      const std::string& name) const;
 
   uint64_t file_bytes() const { return map_.size(); }
   const std::string& path() const { return map_.path(); }

@@ -475,7 +475,11 @@ void FleetRouter::DispatchTo(int shard,
       req, [router, out, shard, is_hedge](MatchResponse resp) {
         if (out->done.load(std::memory_order_acquire) != 0) {
           // Lost the race (hedge pair already answered, or deadline fired).
-          if (is_hedge || out->hedged.load(std::memory_order_acquire)) {
+          // A hedged request wastes at most one duplicate: when the
+          // deadline scan won, both late responses land here and only the
+          // first counts, so hedge_wasted never exceeds hedges.
+          if (out->hedged.load(std::memory_order_acquire) &&
+              !out->waste_counted.exchange(true, std::memory_order_acq_rel)) {
             router->hedge_wasted_->Add();
           }
           return;
@@ -571,11 +575,14 @@ void FleetRouter::MonitorLoop() {
 
       if (!options_.hedging || shards_.size() < 2) continue;
       if (ElapsedUs(out->start, now) < threshold_us) continue;
-      if (out->hedged.exchange(true, std::memory_order_acq_rel)) continue;
+      // `hedged` is set only once a hedge is really dispatched, and after
+      // the hedges counter, which is what bounds hedge_wasted.
+      if (out->hedged.load(std::memory_order_acquire)) continue;
       const int hedge_shard = PickHedgeShard(out->primary_shard);
       if (hedge_shard < 0) continue;
       out->hedge_shard = hedge_shard;
       hedges_->Add();
+      out->hedged.store(true, std::memory_order_release);
       obs::TraceInstant("net.hedge");
       DispatchTo(hedge_shard, out, /*is_hedge=*/true);
     }

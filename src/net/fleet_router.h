@@ -145,7 +145,10 @@ class FleetRouter {
     /// result is set; the hedging loser and the deadline scan lose the CAS
     /// and drop their response.
     std::atomic<int> done{0};
+    /// Set by the monitor (its only writer) once a hedge is dispatched.
     std::atomic<bool> hedged{false};
+    /// First late response of a hedged request claims the waste count.
+    std::atomic<bool> waste_counted{false};
     Clock::time_point start;
     Clock::time_point deadline;  // max() when none
     int primary_shard = -1;

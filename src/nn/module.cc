@@ -1,23 +1,14 @@
 #include "nn/module.h"
 
 #include <cstdint>
-#include <cstring>
-#include <fstream>
 #include <map>
+#include <utility>
 
-#include "io/atomic_file.h"
 #include "io/emxm.h"
-#include "util/logging.h"
 
 namespace emx {
 namespace nn {
 namespace {
-
-constexpr uint32_t kMagic = 0x454d5850;  // "EMXP"
-
-// More parameters than any model this repo can hold in memory; a count
-// beyond this is a corrupt header, not a big model.
-constexpr uint64_t kMaxParamCount = 1ull << 20;
 
 /// prefix for fp32 parameter sections inside an EMXM container.
 std::string ParamSectionName(const std::string& name) { return "p:" + name; }
@@ -31,113 +22,22 @@ std::string JoinName(const std::string& prefix, const std::string& leaf) {
 
 Status SaveParameters(const std::string& path,
                       const std::vector<NamedParam>& params) {
-  io::AtomicFileWriter writer(path);
-  EMX_RETURN_IF_ERROR(writer.status());
-  std::ofstream& out = writer.stream();
-  const uint32_t magic = kMagic;
-  const uint64_t count = params.size();
-  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (const auto& p : params) {
-    const uint64_t name_len = p.name.size();
-    out.write(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
-    out.write(p.name.data(), static_cast<std::streamsize>(name_len));
-    const Tensor& t = p.var.value();
-    const uint64_t ndim = static_cast<uint64_t>(t.ndim());
-    out.write(reinterpret_cast<const char*>(&ndim), sizeof(ndim));
-    for (int64_t d : t.shape()) {
-      const int64_t dim = d;
-      out.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
-    }
-    out.write(reinterpret_cast<const char*>(t.data()),
-              static_cast<std::streamsize>(t.size() * sizeof(float)));
-  }
-  return writer.Commit();
+  io::EmxmWriter writer;
+  EMX_RETURN_IF_ERROR(AppendParametersEmxm(&writer, params));
+  return writer.WriteFile(path);
 }
 
 Status LoadParameters(const std::string& path,
                       const std::vector<NamedParam>& params) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::IoError("cannot open " + path);
-  // Every length field below is checked against the bytes actually left
-  // in the file *before* anything is allocated, so a corrupt or hostile
-  // header cannot request a multi-GB buffer the payload can never fill.
-  const uint64_t file_bytes = static_cast<uint64_t>(in.tellg());
-  in.seekg(0);
-  uint64_t consumed = 0;
-  auto remaining = [&] { return file_bytes - consumed; };
-  auto corrupt = [&](const std::string& what) {
-    return Status::InvalidArgument("corrupt parameter file " + path + ": " +
-                                   what);
-  };
-
-  uint32_t magic = 0;
-  uint64_t count = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in || magic != kMagic) {
-    return Status::InvalidArgument(path + " is not an emx parameter file");
-  }
-  consumed += sizeof(magic) + sizeof(count);
-  if (count > kMaxParamCount) {
-    return corrupt("implausible parameter count " + std::to_string(count));
-  }
-  std::map<std::string, Tensor> loaded;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t name_len = 0;
-    in.read(reinterpret_cast<char*>(&name_len), sizeof(name_len));
-    consumed += sizeof(name_len);
-    if (!in || name_len > (1u << 20) || name_len > remaining()) {
-      return corrupt("bad name length");
-    }
-    std::string name(name_len, '\0');
-    in.read(name.data(), static_cast<std::streamsize>(name_len));
-    consumed += name_len;
-    uint64_t ndim = 0;
-    in.read(reinterpret_cast<char*>(&ndim), sizeof(ndim));
-    consumed += sizeof(ndim);
-    if (!in || ndim > 8 || ndim * sizeof(int64_t) > remaining()) {
-      return corrupt("bad ndim for '" + name + "'");
-    }
-    Shape shape(ndim);
-    uint64_t numel = 1;
-    for (auto& d : shape) {
-      in.read(reinterpret_cast<char*>(&d), sizeof(d));
-      consumed += sizeof(d);
-      if (!in || d <= 0) return corrupt("bad dim for '" + name + "'");
-      // Overflow-checked product: a pair of plausible-looking dims can
-      // wrap uint64 and make the byte count below look tiny.
-      if (numel > remaining() / static_cast<uint64_t>(d)) {
-        return corrupt("dims overflow for '" + name + "'");
-      }
-      numel *= static_cast<uint64_t>(d);
-    }
-    if (numel * sizeof(float) > remaining()) {
-      return corrupt("payload for '" + name + "' exceeds file size");
-    }
-    Tensor t(shape);
-    in.read(reinterpret_cast<char*>(t.data()),
-            static_cast<std::streamsize>(t.size() * sizeof(float)));
-    consumed += numel * sizeof(float);
-    if (!in) return Status::IoError("truncated parameter file " + path);
-    loaded.emplace(std::move(name), std::move(t));
-  }
+  EMX_ASSIGN_OR_RETURN(std::shared_ptr<const io::EmxmReader> reader,
+                       io::EmxmReader::Open(path));
+  // Validate-then-attach views, then materialize each into a mutable heap
+  // tensor: optimizer state lives on the Variable (slots re-fetch
+  // mutable_value() each step), so training continues after a load, and
+  // the mapping is released once the last view is replaced.
+  EMX_RETURN_IF_ERROR(LoadParametersMapped(std::move(reader), params));
   for (const auto& p : params) {
-    auto it = loaded.find(p.name);
-    if (it == loaded.end()) {
-      return Status::NotFound("parameter '" + p.name + "' missing in " + path);
-    }
-    if (it->second.shape() != p.var.value().shape()) {
-      return Status::InvalidArgument(
-          "parameter '" + p.name + "' shape mismatch: file has " +
-          ShapeToString(it->second.shape()) + ", model expects " +
-          ShapeToString(p.var.value().shape()));
-    }
-    // Assign the staged tensor wholesale: optimizer state lives on the
-    // Variable (slots re-fetch mutable_value() each step), and assignment
-    // also restores a mutable heap buffer over a previously mapped
-    // (read-only external) value.
-    const_cast<Variable&>(p.var).mutable_value() = std::move(it->second);
+    const_cast<Variable&>(p.var).mutable_value() = p.var.value().Clone();
   }
   return Status::OK();
 }
@@ -166,8 +66,7 @@ Status LoadParametersMapped(std::shared_ptr<const io::EmxmReader> reader_sp,
                             const std::vector<NamedParam>& params) {
   const io::EmxmReader& reader = *reader_sp;
   // Validate every parameter before attaching any, so a bad container
-  // leaves the model untouched (the same all-or-nothing contract as
-  // LoadParameters, which stages the whole file into a map first).
+  // leaves the model untouched.
   std::vector<const io::Section*> resolved;
   resolved.reserve(params.size());
   for (const auto& p : params) {

@@ -79,12 +79,15 @@ class Module {
 /// Joins a prefix and a leaf name with '.' (no leading dot for empty prefix).
 std::string JoinName(const std::string& prefix, const std::string& leaf);
 
-/// Saves parameters to a binary file (name-indexed).
+/// Saves parameters as an EMXM container of "p:<name>" fp32 tensor
+/// sections (see AppendParametersEmxm), published atomically.
 Status SaveParameters(const std::string& path,
                       const std::vector<NamedParam>& params);
 
-/// Loads parameters by name into existing Variables; shapes must match.
-/// Fails if any parameter is missing from the file.
+/// Loads parameters by name from any EMXM container holding "p:<name>"
+/// sections (SaveParameters or quant::SaveModelFile output) into existing
+/// Variables as mutable heap tensors; shapes must match. Fails, leaving
+/// the Variables untouched, if any parameter is missing or malformed.
 Status LoadParameters(const std::string& path,
                       const std::vector<NamedParam>& params);
 

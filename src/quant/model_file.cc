@@ -20,30 +20,6 @@ namespace {
 
 constexpr char kManifestName[] = "emxm:manifest";
 
-/// Same flattening as QuantizeMatcher: standalone linears plus the
-/// fc1/fc2 of every FFN, under the fused block's name scheme.
-struct FlatQuantTargets {
-  std::vector<std::pair<std::string, nn::Linear*>> linears;
-  std::vector<std::pair<std::string, nn::FeedForward*>> ffns;
-};
-
-FlatQuantTargets FlattenTargets(core::EntityMatcher* matcher) {
-  nn::QuantTargets targets;
-  matcher->classifier()->CollectQuantTargets("", &targets);
-  FlatQuantTargets flat;
-  flat.linears = targets.linears;
-  flat.ffns = targets.ffns;
-  for (auto& [name, ffn] : targets.ffns) {
-    flat.linears.emplace_back(nn::JoinName(name, "fc1"), ffn->fc1());
-    flat.linears.emplace_back(nn::JoinName(name, "fc2"), ffn->fc2());
-  }
-  return flat;
-}
-
-std::shared_ptr<Int8LinearBackend> GetInt8Backend(const nn::Linear* layer) {
-  return std::static_pointer_cast<Int8LinearBackend>(layer->backend());
-}
-
 std::string QwName(const std::string& name) { return "q:" + name + ":qw"; }
 std::string WsName(const std::string& name) { return "q:" + name + ":ws"; }
 std::string BiasName(const std::string& name) {
@@ -52,22 +28,17 @@ std::string BiasName(const std::string& name) {
 std::string CsName(const std::string& name) { return "q:" + name + ":cs"; }
 std::string FfnName(const std::string& name) { return "q:" + name + ":ffn"; }
 
-/// Fetches a section and checks kind + element count in one step.
+/// Fetches a vector section and checks its element count is `expect`.
 Result<const io::Section*> VecSection(const io::EmxmReader& reader,
                                       const std::string& name,
-                                      io::SectionKind kind,
-                                      uint64_t expect_count,
-                                      uint64_t elem_bytes) {
-  const io::Section* s = reader.Find(name);
-  if (s == nullptr) {
-    return Status::NotFound("section '" + name + "' missing in " +
-                            reader.path());
-  }
-  if (s->kind != kind || s->aux[0] != expect_count ||
-      s->bytes != expect_count * elem_bytes) {
+                                      io::SectionKind kind, uint64_t expect) {
+  EMX_ASSIGN_OR_RETURN(const io::Section* s, reader.FindVector(name, kind));
+  if (s->aux[0] != expect) {
     return Status::InvalidArgument("section '" + name + "' in " +
-                                   reader.path() +
-                                   " has the wrong kind or element count");
+                                   reader.path() + " holds " +
+                                   std::to_string(s->aux[0]) +
+                                   " elements, expected " +
+                                   std::to_string(expect));
   }
   return s;
 }
@@ -81,7 +52,7 @@ Status SaveModelFile(core::EntityMatcher* matcher, const std::string& path) {
   std::vector<nn::NamedParam> params = matcher->classifier()->Parameters();
   EMX_RETURN_IF_ERROR(nn::AppendParametersEmxm(&writer, params));
 
-  FlatQuantTargets flat = FlattenTargets(matcher);
+  FlatQuantTargets flat = FlattenQuantTargets(matcher);
   const bool quantized = IsQuantized(matcher);
   uint64_t linear_count = 0;
   uint64_t ffn_count = 0;
@@ -168,7 +139,7 @@ Result<ModelFileInfo> LoadModelFileMapped(core::EntityMatcher* matcher,
   info.int8_ffns = static_cast<int64_t>(manifest->aux[2]);
   info.has_int8 = manifest->aux[1] > 0;
 
-  FlatQuantTargets flat = FlattenTargets(matcher);
+  FlatQuantTargets flat = FlattenQuantTargets(matcher);
   std::map<std::string, std::shared_ptr<Int8LinearBackend>> backends;
   std::map<std::string, std::shared_ptr<Int8FfnBackend>> ffn_backends;
   if (info.has_int8) {
@@ -200,16 +171,14 @@ Result<ModelFileInfo> LoadModelFileMapped(core::EntityMatcher* matcher,
       const uint64_t out_u = static_cast<uint64_t>(out);
       EMX_ASSIGN_OR_RETURN(
           const io::Section* ws,
-          VecSection(*reader, WsName(name), io::SectionKind::kF32Vec, out_u,
-                     sizeof(float)));
+          VecSection(*reader, WsName(name), io::SectionKind::kF32Vec, out_u));
       EMX_ASSIGN_OR_RETURN(
           const io::Section* bias,
           VecSection(*reader, BiasName(name), io::SectionKind::kF32Vec,
-                     out_u, sizeof(float)));
+                     out_u));
       EMX_ASSIGN_OR_RETURN(
           const io::Section* cs,
-          VecSection(*reader, CsName(name), io::SectionKind::kI32Vec, out_u,
-                     sizeof(int32_t)));
+          VecSection(*reader, CsName(name), io::SectionKind::kI32Vec, out_u));
 
       // The O(out) epilogue arrays are copied (they are cheap and keep
       // the struct layout uniform); only the O(in*out) packed image is

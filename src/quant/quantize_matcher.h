@@ -2,15 +2,20 @@
 #define EMX_QUANT_QUANTIZE_MATCHER_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/entity_matcher.h"
+#include "nn/module.h"
 #include "quant/observer.h"
 #include "util/status.h"
 
 namespace emx {
 namespace quant {
+
+class Int8LinearBackend;
 
 /// Serialized text pairs used to calibrate activation ranges. A few
 /// hundred representative pairs are plenty — the observers only need the
@@ -61,17 +66,19 @@ bool IsQuantized(core::EntityMatcher* matcher);
 /// Detaches every int8 backend, returning the matcher to pure fp32.
 void ClearQuantization(core::EntityMatcher* matcher);
 
-/// Persists the quantized state (int8 weights, per-channel scales,
-/// activation grids, FFN fusion grids) of a quantized matcher. The format
-/// is a sibling of nn::SaveParameters' — magic "EMXQ" instead of "EMXP" —
-/// and stores exactly the integer state, so save -> load reproduces the
-/// original backends bit for bit. Pre-condition: IsQuantized(matcher).
-Status SaveQuantized(core::EntityMatcher* matcher, const std::string& path);
+/// Every Linear that gets its own int8 backend: the standalone quant
+/// targets plus the fc1/fc2 of each FFN target (named "<ffn>.fc1" /
+/// "<ffn>.fc2"; they calibrate individually but serve through the fused
+/// block backend), and the FFN blocks themselves.
+struct FlatQuantTargets {
+  std::vector<std::pair<std::string, nn::Linear*>> linears;
+  std::vector<std::pair<std::string, nn::FeedForward*>> ffns;
+};
+FlatQuantTargets FlattenQuantTargets(core::EntityMatcher* matcher);
 
-/// Restores quantized backends saved by SaveQuantized onto a matcher with
-/// the same architecture (the fp32 checkpoint is loaded separately via
-/// EntityMatcher::Load). No calibration pass is needed.
-Status LoadQuantized(core::EntityMatcher* matcher, const std::string& path);
+/// The int8 backend attached to `layer` (null when none is attached;
+/// every LinearBackend in the repo is an Int8LinearBackend).
+std::shared_ptr<Int8LinearBackend> GetInt8Backend(const nn::Linear* layer);
 
 }  // namespace quant
 }  // namespace emx

@@ -2,28 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
-#include <fstream>
 #include <future>
 #include <utility>
 
-#include "io/atomic_file.h"
+#include "io/emxm.h"
 #include "obs/trace.h"
 
 namespace emx {
 namespace retrieval {
 namespace {
-
-constexpr char kMagic[8] = {'E', 'M', 'X', 'C', 'A', 'T', '0', '1'};
-
-void WriteI64(std::ostream& out, int64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-bool ReadI64(std::istream& in, int64_t* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return in.good();
-}
 
 bool MatchOrder(const CatalogMatch& a, const CatalogMatch& b) {
   if (a.probability != b.probability) return a.probability > b.probability;
@@ -171,55 +158,34 @@ Result<std::vector<CatalogMatch>> CatalogMatcher::FindMatches(
 }
 
 Status CatalogMatcher::Save(const std::string& path) const {
-  io::AtomicFileWriter writer(path);
-  EMX_RETURN_IF_ERROR(writer.status());
-  std::ofstream& out = writer.stream();
-  std::shared_lock<std::shared_mutex> lock(texts_mu_);
-  out.write(kMagic, sizeof(kMagic));
-  WriteI64(out, static_cast<int64_t>(texts_.size()));
-  for (const std::string& t : texts_) {
-    WriteI64(out, static_cast<int64_t>(t.size()));
-    out.write(t.data(), static_cast<std::streamsize>(t.size()));
+  io::EmxmWriter writer;
+  {
+    std::shared_lock<std::shared_mutex> lock(texts_mu_);
+    writer.AddStrings("cat:texts", texts_);
+    index_.AppendEmxm(&writer);
   }
-  EMX_RETURN_IF_ERROR(index_.SaveTo(out));
-  return writer.Commit();
+  return writer.WriteFile(path);
 }
 
 Result<std::unique_ptr<CatalogMatcher>> CatalogMatcher::Load(
     const std::string& path, serve::MatcherEngine* engine,
     CatalogOptions options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::IoError("cannot open " + path);
-  char magic[sizeof(kMagic)];
-  in.read(magic, sizeof(magic));
-  if (!in.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not an EMXCAT01 catalog file");
+  EMX_ASSIGN_OR_RETURN(std::shared_ptr<const io::EmxmReader> reader,
+                       io::EmxmReader::Open(path));
+  EMX_ASSIGN_OR_RETURN(std::vector<std::string_view> texts,
+                       reader->FindStrings("cat:texts"));
+  EMX_ASSIGN_OR_RETURN(QGramIndex index, QGramIndex::FromEmxm(*reader));
+  const int64_t num_texts = static_cast<int64_t>(texts.size());
+  if (index.size() != num_texts) {
+    return Status::InvalidArgument("catalog " + path + " holds " +
+                                   std::to_string(num_texts) +
+                                   " texts but its index " +
+                                   std::to_string(index.size()) + " records");
   }
-  int64_t num_texts = 0;
-  if (!ReadI64(in, &num_texts) || num_texts < 0) {
-    return Status::IoError("truncated catalog header");
-  }
-  std::vector<std::string> texts;
-  texts.reserve(static_cast<size_t>(num_texts));
-  for (int64_t i = 0; i < num_texts; ++i) {
-    int64_t len = 0;
-    if (!ReadI64(in, &len) || len < 0 || len > (1 << 24)) {
-      return Status::IoError("corrupt catalog text length");
-    }
-    std::string t(static_cast<size_t>(len), '\0');
-    in.read(t.data(), len);
-    if (!in.good()) return Status::IoError("truncated catalog text");
-    texts.push_back(std::move(t));
-  }
-  auto index = QGramIndex::LoadFrom(in);
-  if (!index.ok()) return index.status();
-  if (index.value().size() != num_texts) {
-    return Status::InvalidArgument("catalog text/index size mismatch");
-  }
-  options.index = index.value().options();
+  options.index = index.options();
   auto matcher = std::make_unique<CatalogMatcher>(engine, options);
-  matcher->index_ = std::move(index).value();
-  matcher->texts_ = std::move(texts);
+  matcher->index_ = std::move(index);
+  matcher->texts_.assign(texts.begin(), texts.end());
   matcher->records_->Add(num_texts);
   return matcher;
 }

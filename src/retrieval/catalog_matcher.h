@@ -97,8 +97,10 @@ class CatalogMatcher {
   /// catalog.* counters/histograms (JSON via registry()->ToJson()).
   obs::MetricsRegistry* registry() { return &registry_; }
 
-  /// Persists texts + index (binary, canonical bytes — see QGramIndex).
-  /// Save requires ingest quiescence.
+  /// Persists texts and index together as one EMXM container: the texts
+  /// as the string list "cat:texts", the index as its ridx:* sections
+  /// (canonical bytes — see QGramIndex::AppendEmxm). Save requires ingest
+  /// quiescence.
   Status Save(const std::string& path) const;
   /// Restores a catalog; `options.index` is ignored in favor of the saved
   /// index options. The loaded matcher's FindMatches results are

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstring>
-#include <fstream>
 #include <functional>
 #include <unordered_set>
 
-#include "io/atomic_file.h"
+#include "io/emxm.h"
 #include "obs/trace.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -17,21 +15,10 @@ namespace emx {
 namespace retrieval {
 namespace {
 
-constexpr char kMagic[8] = {'E', 'M', 'X', 'R', 'I', 'D', 'X', '1'};
-
 // Ingest batches are chunked so AddBatch never materializes the feature
 // lists of more than this many records at once (a million-record batch
 // would otherwise hold ~10 GB of transient feature strings).
 constexpr int64_t kIngestChunk = 4096;
-
-void WriteI64(std::ostream& out, int64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-bool ReadI64(std::istream& in, int64_t* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return in.good();
-}
 
 /// Idf weight of a feature seen in `df` of `n` records. The +1 smoothing
 /// keeps unseen features finite and df = n features positive.
@@ -333,7 +320,7 @@ std::vector<ScoredId> QGramIndex::TopK(std::string_view query,
   return merged;
 }
 
-Status QGramIndex::SaveTo(std::ostream& out) const {
+void QGramIndex::AppendEmxm(io::EmxmWriter* writer) const {
   // Writer-exclude every shard for the duration: a save is a consistent
   // snapshot, not a racing reader.
   std::vector<std::shared_lock<std::shared_mutex>> locks;
@@ -342,102 +329,127 @@ Status QGramIndex::SaveTo(std::ostream& out) const {
     locks.emplace_back(shards_[static_cast<size_t>(s)].mu);
   }
 
-  out.write(kMagic, sizeof(kMagic));
-  WriteI64(out, options_.qgram);
-  WriteI64(out, options_.index_tokens ? 1 : 0);
-  WriteI64(out, options_.max_postings);
-  WriteI64(out, options_.num_shards);
-  WriteI64(out, next_id_.load(std::memory_order_relaxed));
-
-  std::vector<const std::string*> keys;
+  std::vector<uint64_t> shard_features;
+  std::vector<std::string_view> keys;
+  std::vector<uint64_t> df;
+  std::vector<uint32_t> ids;
+  std::vector<const std::pair<const std::string, PostingList>*> entries;
   for (int64_t s = 0; s < options_.num_shards; ++s) {
     const Shard& shard = shards_[static_cast<size_t>(s)];
-    WriteI64(out, static_cast<int64_t>(shard.features.size()));
+    shard_features.push_back(shard.features.size());
     // Canonical order: identical index states serialize to identical bytes
     // regardless of hash-map iteration order.
-    keys.clear();
-    keys.reserve(shard.features.size());
-    for (const auto& [key, pl] : shard.features) keys.push_back(&key);
-    std::sort(keys.begin(), keys.end(),
-              [](const std::string* a, const std::string* b) { return *a < *b; });
-    for (const std::string* key : keys) {
-      const PostingList& pl = shard.features.at(*key);
-      WriteI64(out, static_cast<int64_t>(key->size()));
-      out.write(key->data(), static_cast<std::streamsize>(key->size()));
-      WriteI64(out, pl.df);
-      WriteI64(out, pl.stopped ? 1 : 0);
-      WriteI64(out, static_cast<int64_t>(pl.ids.size()));
-      out.write(reinterpret_cast<const char*>(pl.ids.data()),
-                static_cast<std::streamsize>(pl.ids.size() * sizeof(uint32_t)));
+    entries.clear();
+    for (const auto& entry : shard.features) entries.push_back(&entry);
+    std::sort(entries.begin(), entries.end(),
+              [](const auto* a, const auto* b) { return a->first < b->first; });
+    for (const auto* entry : entries) {
+      keys.push_back(entry->first);
+      df.push_back(static_cast<uint64_t>(entry->second.df));
+      ids.insert(ids.end(), entry->second.ids.begin(),
+                 entry->second.ids.end());
     }
   }
-  if (!out.good()) return Status::IoError("index serialization failed");
-  return Status::OK();
+  writer->AddVector("ridx:shards", io::SectionKind::kU64Vec,
+                    std::move(shard_features),
+                    {0, static_cast<uint64_t>(options_.qgram),
+                     options_.index_tokens ? 1u : 0u,
+                     static_cast<uint64_t>(options_.max_postings),
+                     static_cast<uint64_t>(size()), 0});
+  writer->AddStrings("ridx:keys", keys);
+  writer->AddVector("ridx:df", io::SectionKind::kU64Vec, std::move(df));
+  writer->AddVector("ridx:ids", io::SectionKind::kI32Vec, std::move(ids));
 }
 
 Status QGramIndex::Save(const std::string& path) const {
-  io::AtomicFileWriter writer(path);
-  EMX_RETURN_IF_ERROR(writer.status());
-  EMX_RETURN_IF_ERROR(SaveTo(writer.stream()));
-  return writer.Commit();
+  io::EmxmWriter writer;
+  AppendEmxm(&writer);
+  return writer.WriteFile(path);
 }
 
-Result<QGramIndex> QGramIndex::LoadFrom(std::istream& in) {
-  char magic[sizeof(kMagic)];
-  in.read(magic, sizeof(magic));
-  if (!in.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not an EMXRIDX1 index file");
-  }
+Result<QGramIndex> QGramIndex::FromEmxm(const io::EmxmReader& reader) {
+  using io::SectionKind;
+  EMX_ASSIGN_OR_RETURN(const io::Section* shards,
+                       reader.FindVector("ridx:shards", SectionKind::kU64Vec));
+  EMX_ASSIGN_OR_RETURN(std::vector<std::string_view> keys,
+                       reader.FindStrings("ridx:keys"));
+  EMX_ASSIGN_OR_RETURN(const io::Section* df,
+                       reader.FindVector("ridx:df", SectionKind::kU64Vec));
+  EMX_ASSIGN_OR_RETURN(const io::Section* ids,
+                       reader.FindVector("ridx:ids", SectionKind::kI32Vec));
+  auto corrupt = [&](const std::string& what) {
+    return Status::InvalidArgument("index in " + reader.path() + ": " + what);
+  };
+
   IndexOptions options;
-  int64_t index_tokens = 0, next_id = 0;
-  if (!ReadI64(in, &options.qgram) || !ReadI64(in, &index_tokens) ||
-      !ReadI64(in, &options.max_postings) || !ReadI64(in, &options.num_shards) ||
-      !ReadI64(in, &next_id)) {
-    return Status::IoError("truncated index header");
+  options.num_shards = static_cast<int64_t>(shards->aux[0]);
+  options.qgram = static_cast<int64_t>(shards->aux[1]);
+  options.index_tokens = shards->aux[2] != 0;
+  options.max_postings = static_cast<int64_t>(shards->aux[3]);
+  const uint64_t next_id = shards->aux[4];
+  if (options.num_shards < 1 || options.num_shards > (1 << 20)) {
+    return corrupt("implausible shard count " +
+                   std::to_string(options.num_shards));
   }
-  options.index_tokens = index_tokens != 0;
-  if (options.num_shards <= 0 || options.num_shards > (1 << 20) ||
-      next_id < 0) {
-    return Status::InvalidArgument("corrupt index header");
+  // Posting ids are u32, so no index can hold more records than that.
+  if (next_id > (1ull << 32)) {
+    return corrupt("record count " + std::to_string(next_id) +
+                   " exceeds the u32 id space");
   }
+  if (keys.size() != df->aux[0]) {
+    return corrupt("key and df counts differ");
+  }
+
   QGramIndex index(options);
-  index.next_id_.store(next_id, std::memory_order_relaxed);
+  index.next_id_.store(static_cast<int64_t>(next_id),
+                       std::memory_order_relaxed);
+  const int64_t cap = index.per_shard_cap();
+  const uint64_t* shard_features = shards->As<uint64_t>();
+  const uint64_t* dfs = df->As<uint64_t>();
+  const uint32_t* id_data = ids->As<uint32_t>();
+  uint64_t feature = 0, id_pos = 0;
   for (int64_t s = 0; s < options.num_shards; ++s) {
+    const uint64_t count = shard_features[s];
+    if (count > keys.size() - feature) {
+      return corrupt("shard " + std::to_string(s) + " claims " +
+                     std::to_string(count) + " features beyond the " +
+                     std::to_string(keys.size()) + " stored");
+    }
     Shard& shard = index.shards_[static_cast<size_t>(s)];
-    int64_t num_features = 0;
-    if (!ReadI64(in, &num_features) || num_features < 0) {
-      return Status::IoError("truncated shard header");
-    }
-    shard.features.reserve(static_cast<size_t>(num_features));
-    for (int64_t f = 0; f < num_features; ++f) {
-      int64_t key_len = 0;
-      if (!ReadI64(in, &key_len) || key_len < 0 || key_len > (1 << 20)) {
-        return Status::IoError("corrupt feature key length");
+    shard.features.reserve(static_cast<size_t>(count));
+    for (uint64_t end = feature + count; feature < end; ++feature) {
+      // Strictly ascending keys: canonical order, and no duplicates.
+      if (feature + 1 < end && !(keys[feature] < keys[feature + 1])) {
+        return corrupt("shard keys out of order");
       }
-      std::string key(static_cast<size_t>(key_len), '\0');
-      in.read(key.data(), key_len);
       PostingList pl;
-      int64_t stopped = 0, num_ids = 0;
-      if (!ReadI64(in, &pl.df) || !ReadI64(in, &stopped) ||
-          !ReadI64(in, &num_ids) || num_ids < 0 || num_ids > next_id) {
-        return Status::IoError("corrupt posting list header");
+      if (dfs[feature] > next_id) return corrupt("df exceeds record count");
+      pl.df = static_cast<int64_t>(dfs[feature]);
+      pl.stopped = pl.df > cap;
+      if (pl.stopped) {
+        ++shard.stop_count;
+      } else {
+        const uint64_t n = dfs[feature];
+        if (n > ids->aux[0] - id_pos) return corrupt("posting ids truncated");
+        pl.ids.assign(id_data + id_pos, id_data + id_pos + n);
+        id_pos += n;
+        for (uint32_t id : pl.ids) {
+          if (id >= next_id) return corrupt("posting id out of range");
+        }
       }
-      pl.stopped = stopped != 0;
-      if (pl.stopped) ++shard.stop_count;
-      pl.ids.resize(static_cast<size_t>(num_ids));
-      in.read(reinterpret_cast<char*>(pl.ids.data()),
-              static_cast<std::streamsize>(pl.ids.size() * sizeof(uint32_t)));
-      if (!in.good()) return Status::IoError("truncated posting list");
-      shard.features.emplace(std::move(key), std::move(pl));
+      shard.features.emplace(keys[feature], std::move(pl));
     }
+  }
+  if (feature != keys.size() || id_pos != ids->aux[0]) {
+    return corrupt("sections hold more features or ids than the shards use");
   }
   return index;
 }
 
 Result<QGramIndex> QGramIndex::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::IoError("cannot open " + path);
-  return LoadFrom(in);
+  EMX_ASSIGN_OR_RETURN(std::shared_ptr<const io::EmxmReader> reader,
+                       io::EmxmReader::Open(path));
+  return FromEmxm(*reader);
 }
 
 }  // namespace retrieval

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -14,6 +13,11 @@
 #include "util/status.h"
 
 namespace emx {
+namespace io {
+class EmxmReader;
+class EmxmWriter;
+}  // namespace io
+
 namespace retrieval {
 
 /// Tuning knobs for the catalog index.
@@ -113,14 +117,28 @@ class QGramIndex {
   /// callers that want to inspect what the index keys on.
   std::vector<std::string> Features(std::string_view text) const;
 
-  /// Binary little-endian persistence. Save writes shards with features in
-  /// sorted order (canonical bytes for identical index states); Load
-  /// restores an index whose TopK results are bit-identical to the saved
-  /// one's. Save requires ingest quiescence (it takes all reader locks).
+  /// Persistence as an EMXM container (sections listed at AppendEmxm).
+  /// Save writes each shard's features in sorted order (canonical bytes
+  /// for identical index states); Load restores an index whose TopK
+  /// results are bit-identical to the saved one's. Save requires ingest
+  /// quiescence (it takes all reader locks).
   Status Save(const std::string& path) const;
-  Status SaveTo(std::ostream& out) const;
   static Result<QGramIndex> Load(const std::string& path);
-  static Result<QGramIndex> LoadFrom(std::istream& in);
+
+  /// Adds the index to a container under construction, so composite
+  /// artifacts (a saved catalog) carry it next to their own sections:
+  ///   ridx:shards    kU64Vec  features per shard; aux[1..4] = {qgram,
+  ///                           index_tokens, max_postings, next_id}
+  ///   ridx:keys      strings  feature keys, shard by shard, sorted
+  ///   ridx:df        kU64Vec  document frequency per feature
+  ///   ridx:ids       kI32Vec  u32 posting ids, feature by feature
+  /// Posting-list lengths are not stored: a feature is a stop feature iff
+  /// df exceeds the per-shard cap, and otherwise holds exactly df ids.
+  void AppendEmxm(io::EmxmWriter* writer) const;
+  /// Restores an index from the sections AppendEmxm wrote. Every count is
+  /// a section size already bounds-checked by EmxmReader::Open, so a
+  /// hostile file fails with a Status instead of a huge allocation.
+  static Result<QGramIndex> FromEmxm(const io::EmxmReader& reader);
 
  private:
   struct PostingList {

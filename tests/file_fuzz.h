@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "io/emxm.h"
 #include "util/status.h"
 
 namespace emx {
@@ -83,6 +85,41 @@ void WithPatchedField(const std::string& path, size_t offset, T value,
   WriteFileBytes(patched, copy);
   check(patched);
   std::remove(patched.c_str());
+}
+
+/// Absolute byte offsets inside an EMXM container, for WithPatchedField:
+/// aux[slot] of the section-table entry named `section`, and the first
+/// payload byte of that section. Returns 0 (after a test failure) when
+/// the container or section is missing.
+inline size_t EmxmAuxOffset(const std::string& path,
+                            const std::string& section, int slot) {
+  auto reader = io::EmxmReader::Open(path);
+  if (!reader.ok()) {
+    ADD_FAILURE() << reader.status().ToString();
+    return 0;
+  }
+  const auto& sections = reader.value()->sections();
+  io::EmxmHeader header;
+  std::memcpy(&header, reader.value()->mapping().data(), sizeof(header));
+  for (size_t i = 0; i < sections.size(); ++i) {
+    if (sections[i].name != section) continue;
+    return static_cast<size_t>(header.table_offset) +
+           i * sizeof(io::EmxmSectionEntry) +
+           offsetof(io::EmxmSectionEntry, aux) + 8 * static_cast<size_t>(slot);
+  }
+  ADD_FAILURE() << "no section '" << section << "' in " << path;
+  return 0;
+}
+
+inline size_t EmxmPayloadOffset(const std::string& path,
+                                const std::string& section) {
+  auto reader = io::EmxmReader::Open(path);
+  const io::Section* s = reader.ok() ? reader.value()->Find(section) : nullptr;
+  if (s == nullptr || s->data == nullptr) {
+    ADD_FAILURE() << "no payload for section '" << section << "' in " << path;
+    return 0;
+  }
+  return static_cast<size_t>(s->data - reader.value()->mapping().data());
 }
 
 }  // namespace testing

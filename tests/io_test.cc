@@ -222,6 +222,53 @@ TEST_F(IoTest, EmxmFileSizeMatchesHeaderExactly) {
   EXPECT_EQ(r.value()->file_bytes(), fs::file_size(p));
 }
 
+TEST_F(IoTest, EmxmVectorAndStringSectionsRoundTrip) {
+  const std::string p = Path("v.emxm");
+  {
+    // The writer owns these payloads; the temporaries die before the write.
+    EmxmWriter w;
+    w.AddVector("ids", SectionKind::kU64Vec, std::vector<uint64_t>{3, 1, 4},
+                {0, 7, 0, 0, 0, 0});
+    w.AddStrings("names", std::vector<std::string>{"acer", "", "dell xps"});
+    ASSERT_TRUE(w.WriteFile(p).ok());
+  }
+  {
+    auto r = EmxmReader::Open(p);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const EmxmReader& reader = *r.value();
+    auto ids = reader.FindVector("ids", SectionKind::kU64Vec);
+    ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+    EXPECT_EQ(ids.value()->aux[0], 3u);
+    EXPECT_EQ(ids.value()->aux[1], 7u);
+    EXPECT_EQ(ids.value()->As<uint64_t>()[2], 4u);
+    EXPECT_EQ(reader.FindVector("ids", SectionKind::kI32Vec).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(reader.FindVector("nope", SectionKind::kU64Vec).status().code(),
+              StatusCode::kNotFound);
+    auto names = reader.FindStrings("names");
+    ASSERT_TRUE(names.ok()) << names.status().ToString();
+    EXPECT_EQ(names.value(),
+              (std::vector<std::string_view>{"acer", "", "dell xps"}));
+  }
+
+  // A count that disagrees with the payload, and an end offset past the
+  // blob, are refused by the typed lookups (Open itself still succeeds).
+  testing::WithPatchedField<uint64_t>(
+      p, testing::EmxmAuxOffset(p, "ids", 0), 1ull << 40,
+      [](const std::string& patched) {
+        auto r = EmxmReader::Open(patched);
+        ASSERT_TRUE(r.ok());
+        EXPECT_FALSE(r.value()->FindVector("ids", SectionKind::kU64Vec).ok());
+      });
+  testing::WithPatchedField<uint64_t>(
+      p, testing::EmxmPayloadOffset(p, "names:end") + 8, 999,
+      [](const std::string& patched) {
+        auto r = EmxmReader::Open(patched);
+        ASSERT_TRUE(r.ok());
+        EXPECT_FALSE(r.value()->FindStrings("names").ok());
+      });
+}
+
 // ---- EMXM1 corruption matrix ------------------------------------------------
 
 Status OpenStatus(const std::string& path) {

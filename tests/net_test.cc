@@ -444,7 +444,38 @@ TEST(FleetRouterTest, HedgeRescuesStragglerShard) {
   EXPECT_GE(router.registry()->GetCounter("router.hedges")->Value(), hedged);
   EXPECT_GE(router.registry()->GetCounter("router.hedge_wins")->Value(),
             hedged);
-  router.Shutdown();
+  router.Shutdown();  // drains the straggler's late responses
+  EXPECT_LE(router.registry()->GetCounter("router.hedge_wasted")->Value(),
+            router.registry()->GetCounter("router.hedges")->Value());
+}
+
+TEST(FleetRouterTest, DeadlineBeatingBothHedgeLegsWastesOneResponse) {
+  RouterOptions opts;
+  opts.policy = RoutePolicy::kConsistentHash;
+  opts.hedging = true;
+  opts.hedge_min_us = 5000;
+  opts.hedge_poll_us = 1000;
+  FleetRouter router(opts);
+  // Both shards answer long after the 40ms deadline: the hedge goes out at
+  // ~5ms, the deadline scan completes the request at 40ms, and then the
+  // primary and the hedge both arrive late.
+  for (const char* name : {"slow-a", "slow-b"}) {
+    ASSERT_TRUE(router
+                    .AddShardForTest(std::make_unique<FakeShard>(
+                        name, /*delay_us=*/150000))
+                    .ok());
+  }
+  RouteResult r = router.Match("a", "b", /*timeout_us=*/40000);
+  EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded)
+      << r.status.ToString();
+  EXPECT_TRUE(r.hedged);
+  router.Shutdown();  // drains both late responses
+
+  obs::MetricsRegistry* reg = router.registry();
+  EXPECT_EQ(reg->GetCounter("router.hedges")->Value(), 1);
+  EXPECT_EQ(reg->GetCounter("router.hedge_wasted")->Value(), 1);
+  EXPECT_EQ(reg->GetCounter("router.hedge_wins")->Value(), 0);
+  EXPECT_EQ(reg->GetCounter("router.deadline_exceeded")->Value(), 1);
 }
 
 TEST(FleetRouterTest, DeadlinePropagatesAndFiresAtRouter) {

@@ -388,6 +388,9 @@ TEST(SerializationTest, SaveLoadRoundTrip) {
                             b.Parameters()[0].var.value()));
   EXPECT_TRUE(ops::AllClose(a.Parameters()[1].var.value(),
                             b.Parameters()[1].var.value()));
+  // Loaded values are mutable heap tensors, not views of the container,
+  // so a loaded model can keep training.
+  for (const NamedParam& p : pb) EXPECT_FALSE(p.var.value().is_external());
   std::remove(path.c_str());
 }
 
@@ -472,9 +475,10 @@ TEST(SerializationTest, HostileDimsDoNotAllocate) {
   std::vector<NamedParam> pa;
   a.CollectParameters("m", &pa);
   ASSERT_TRUE(SaveParameters(path, pa).ok());
-  // Layout: magic u32 | count u64 | name_len u64 | name | ndim u64 | dims.
-  // The first parameter is the [4, 4] weight ("m.weight", 8 name bytes).
-  const size_t ndim_off = 4 + 8 + 8 + 8;
+  // EMXM layout: 64-byte header, then 96-byte section entries whose aux
+  // slots start 40 bytes in. The first section is the [4, 4] weight, an
+  // fp32 tensor with aux = {ndim, dim0, dim1, ...}.
+  const size_t ndim_off = 64 + 40;
   const size_t dim0_off = ndim_off + 8;
   auto fails = [&](const std::string& patched) {
     Status s = LoadParameters(patched, pa);
@@ -489,9 +493,9 @@ TEST(SerializationTest, HostileDimsDoNotAllocate) {
   emx::testing::WithPatchedField<int64_t>(path, dim0_off,
                                           static_cast<int64_t>(1) << 62,
                                           fails);
-  // Implausible ndim and parameter count.
+  // Implausible ndim and section count.
   emx::testing::WithPatchedField<uint64_t>(path, ndim_off, 1u << 20, fails);
-  emx::testing::WithPatchedField<uint64_t>(path, 4, ~0ull, fails);
+  emx::testing::WithPatchedField<uint64_t>(path, 16, ~0ull, fails);
   std::remove(path.c_str());
 }
 

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -106,7 +104,7 @@ TEST(ObserverTest, HistogramObserverGrowsToCoverNewData) {
 
 // ---- Packing ----------------------------------------------------------------
 
-TEST(Int8GemmTest, PackUnpackRepackIsBitIdentical) {
+TEST(Int8GemmTest, PackedImageViewIsBitIdentical) {
   Rng rng(11);
   // Deliberately not multiples of the 4/16 packing blocks.
   Tensor w = Tensor::Randn({7, 18}, &rng, 0.1f);
@@ -119,13 +117,15 @@ TEST(Int8GemmTest, PackUnpackRepackIsBitIdentical) {
   EXPECT_EQ(fresh.k_padded, 8);
   EXPECT_EQ(fresh.n_padded, 32);
 
-  // The checkpoint round trip at the packing level: unpack to logical
-  // row-major int8, repack, and compare every derived field bit for bit.
-  std::vector<int8_t> qw = UnpackQuantizedWeights(fresh);
-  PackedWeights reloaded =
-      PackQuantizedWeights(fresh.in, fresh.out, qw, fresh.w_scales, fresh.bias,
-                           fresh.act);
-  EXPECT_EQ(fresh.data, reloaded.data);
+  // The container round trip at the packing level: a zero-copy view of
+  // the packed image plus the stored epilogue arrays must reproduce every
+  // derived field bit for bit.
+  auto viewed = ViewPackedWeights(
+      fresh.in, fresh.out, fresh.data.data(), fresh.data.size(), nullptr,
+      fresh.w_scales, fresh.bias, fresh.col_sums, fresh.act);
+  ASSERT_TRUE(viewed.ok()) << viewed.status().ToString();
+  const PackedWeights& reloaded = viewed.value();
+  EXPECT_EQ(reloaded.packed_data(), fresh.data.data());
   EXPECT_EQ(fresh.col_sums, reloaded.col_sums);
   EXPECT_EQ(fresh.w_scales, reloaded.w_scales);
   EXPECT_EQ(fresh.fused_scale, reloaded.fused_scale);
@@ -401,125 +401,6 @@ TEST_F(QuantMatcherTest, QuantizeMatcherEndToEnd) {
   }
 }
 
-TEST_F(QuantMatcherTest, QuantizedCheckpointRoundTripIsBitIdentical) {
-  const std::string fp32_path = "/tmp/emx_quant_test_fp32.params";
-  const std::string quant_path = "/tmp/emx_quant_test_int8.params";
-  const std::vector<std::string> as = {"lenovo thinkpad x1 carbon",
-                                       "kitchenaid stand mixer"};
-  const std::vector<std::string> bs = {"thinkpad x1 carbon gen 9",
-                                       "kitchen aid artisan mixer"};
-
-  auto original = MakeMatcher();
-  ASSERT_TRUE(original->Save(fp32_path).ok());
-  auto report = QuantizeMatcher(original.get(), Calib());
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  std::vector<double> expected = original->MatchProbabilities(as, bs);
-  ASSERT_TRUE(SaveQuantized(original.get(), quant_path).ok());
-
-  // A fresh matcher gets the fp32 weights (for the non-quantized layers:
-  // embeddings, layernorms, output head) plus the quantized checkpoint.
-  // No calibration pass — the saved grids are the calibration.
-  auto restored = MakeMatcher();
-  ASSERT_TRUE(restored->Load(fp32_path).ok());
-  Status load = LoadQuantized(restored.get(), quant_path);
-  ASSERT_TRUE(load.ok()) << load.ToString();
-  EXPECT_TRUE(IsQuantized(restored.get()));
-
-  std::vector<double> got = restored->MatchProbabilities(as, bs);
-  ASSERT_EQ(got.size(), expected.size());
-  // The acceptance-criteria golden: save -> load -> Predict is
-  // bit-identical to the freshly quantized model.
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(got[i], expected[i]) << "pair " << i;
-  }
-
-  std::filesystem::remove(fp32_path);
-  std::filesystem::remove(quant_path);
-}
-
-TEST_F(QuantMatcherTest, SaveQuantizedRequiresQuantizedMatcher) {
-  auto matcher = MakeMatcher();
-  Status s = SaveQuantized(matcher.get(), "/tmp/emx_quant_test_unused.bin");
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(QuantMatcherTest, LoadQuantizedRejectsWrongMagic) {
-  const std::string path = "/tmp/emx_quant_test_badmagic.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    const char garbage[] = "not a quantized checkpoint at all";
-    out.write(garbage, sizeof(garbage));
-  }
-  auto matcher = MakeMatcher();
-  Status s = LoadQuantized(matcher.get(), path);
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(IsQuantized(matcher.get()));
-  std::filesystem::remove(path);
-}
-
-TEST_F(QuantMatcherTest, LoadQuantizedRejectsTruncatedFile) {
-  const std::string path = "/tmp/emx_quant_test_trunc.bin";
-  auto matcher = MakeMatcher();
-  auto report = QuantizeMatcher(matcher.get(), Calib());
-  ASSERT_TRUE(report.ok());
-  ASSERT_TRUE(SaveQuantized(matcher.get(), path).ok());
-
-  // Chop the checkpoint in half, landing mid-payload.
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
-  ASSERT_GT(bytes.size(), 64u);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
-  }
-  auto fresh = MakeMatcher();
-  Status s = LoadQuantized(fresh.get(), path);
-  EXPECT_FALSE(s.ok());
-  // The bounds checks reject a short payload before the read can fail, so
-  // either code is a correct refusal.
-  EXPECT_TRUE(s.code() == StatusCode::kInvalidArgument ||
-              s.code() == StatusCode::kIoError)
-      << s.ToString();
-  // A failed load leaves the matcher untouched.
-  EXPECT_FALSE(IsQuantized(fresh.get()));
-  std::filesystem::remove(path);
-}
-
-TEST_F(QuantMatcherTest, LoadQuantizedRejectsUnknownLayerName) {
-  const std::string path = "/tmp/emx_quant_test_unknown.bin";
-  {
-    // A syntactically valid file whose single entry names a layer the
-    // model does not have.
-    std::ofstream out(path, std::ios::binary);
-    const uint32_t magic = 0x454d5851, version = 1;
-    out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-    const uint64_t count = 1;
-    out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-    const std::string name = "nope";
-    const uint64_t len = name.size();
-    out.write(reinterpret_cast<const char*>(&len), sizeof(len));
-    out.write(name.data(), static_cast<std::streamsize>(len));
-    const int64_t in_dim = 2, out_dim = 2;
-    out.write(reinterpret_cast<const char*>(&in_dim), sizeof(in_dim));
-    out.write(reinterpret_cast<const char*>(&out_dim), sizeof(out_dim));
-    const float scale = 0.1f;
-    const int32_t zp = 128;
-    out.write(reinterpret_cast<const char*>(&scale), sizeof(scale));
-    out.write(reinterpret_cast<const char*>(&zp), sizeof(zp));
-  }
-  auto matcher = MakeMatcher();
-  Status s = LoadQuantized(matcher.get(), path);
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kNotFound);
-  EXPECT_FALSE(IsQuantized(matcher.get()));
-  std::filesystem::remove(path);
-}
-
 // ---- EMXM1 model container --------------------------------------------------
 
 TEST_F(QuantMatcherTest, ModelFileFp32RoundTripIsBitIdentical) {
@@ -573,6 +454,14 @@ TEST_F(QuantMatcherTest, ModelFileInt8RoundTripIsBitIdentical) {
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(got[i], expected[i]) << "pair " << i;
   }
+
+  // The same container heap-loads its fp32 parameters (the fine-tuning
+  // path), bit-identical to the original's fp32 forward.
+  auto heap = MakeMatcher();
+  ASSERT_TRUE(heap->Load(path).ok());
+  nn::QuantModeGuard fp32_only(false);
+  EXPECT_EQ(heap->MatchProbabilities(as, bs),
+            original->MatchProbabilities(as, bs));
   std::filesystem::remove(path);
 }
 
@@ -645,24 +534,6 @@ TEST_F(QuantMatcherTest, ModelFileMissingSectionLeavesMatcherUntouched) {
         EXPECT_EQ(info.status().code(), StatusCode::kNotFound);
         EXPECT_FALSE(IsQuantized(fresh.get()));
       });
-  std::filesystem::remove(path);
-}
-
-TEST_F(QuantMatcherTest, QuantizedCheckpointEveryTruncationFailsCleanly) {
-  const std::string path = "/tmp/emx_quant_test_qtrunc.bin";
-  auto original = MakeMatcher();
-  auto report = QuantizeMatcher(original.get(), Calib());
-  ASSERT_TRUE(report.ok());
-  ASSERT_TRUE(SaveQuantized(original.get(), path).ok());
-
-  auto fresh = MakeMatcher();
-  const size_t bytes = emx::testing::ReadFileBytes(path).size();
-  emx::testing::ExpectAllTruncationsFail(
-      path,
-      [&](const std::string& p) { return LoadQuantized(fresh.get(), p); },
-      /*stride=*/std::max<size_t>(1, bytes / 97),
-      /*boundaries=*/{4, 8, 16, 24, 25, 32});
-  EXPECT_FALSE(IsQuantized(fresh.get())) << "failed load mutated the matcher";
   std::filesystem::remove(path);
 }
 

@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -152,26 +151,34 @@ TEST(QGramIndexTest, SaveLoadRoundTripIsBitIdentical) {
     }
   }
 
-  // Canonical serialization: saving the loaded index reproduces the bytes.
-  std::ostringstream first, second;
-  ASSERT_TRUE(index.SaveTo(first).ok());
-  ASSERT_TRUE(loaded.value().SaveTo(second).ok());
-  EXPECT_EQ(first.str(), second.str());
+  // Canonical serialization: save -> load -> save reproduces the bytes.
+  const std::string resaved = path + ".resaved";
+  ASSERT_TRUE(loaded.value().Save(resaved).ok());
+  EXPECT_EQ(emx::testing::ReadFileBytes(path),
+            emx::testing::ReadFileBytes(resaved));
   std::filesystem::remove(path);
+  std::filesystem::remove(resaved);
 }
 
 TEST(QGramIndexTest, LoadRejectsGarbageAndTruncation) {
-  std::istringstream garbage("not an index file at all");
-  EXPECT_EQ(QGramIndex::LoadFrom(garbage).status().code(),
+  const std::string path = "/tmp/emx_retrieval_test_garbage.bin";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "not an index file at all, and longer than a header......."
+           "...........";
+  }
+  EXPECT_EQ(QGramIndex::Load(path).status().code(),
             StatusCode::kInvalidArgument);
 
   QGramIndex index;
   index.AddRecord("acer laptop");
-  std::ostringstream full;
-  ASSERT_TRUE(index.SaveTo(full).ok());
-  const std::string bytes = full.str();
-  std::istringstream truncated(bytes.substr(0, bytes.size() / 2));
-  EXPECT_FALSE(QGramIndex::LoadFrom(truncated).ok());
+  ASSERT_TRUE(index.Save(path).ok());
+  const std::vector<uint8_t> bytes = emx::testing::ReadFileBytes(path);
+  emx::testing::WriteFileBytes(
+      path, std::vector<uint8_t>(bytes.begin(),
+                                 bytes.begin() + bytes.size() / 2));
+  EXPECT_FALSE(QGramIndex::Load(path).ok());
+  std::filesystem::remove(path);
 }
 
 TEST(QGramIndexTest, SaveIsAtomicAndEveryTruncationFails) {
@@ -190,6 +197,42 @@ TEST(QGramIndexTest, SaveIsAtomicAndEveryTruncationFails) {
       [](const std::string& p) { return QGramIndex::Load(p).status(); },
       /*stride=*/std::max<size_t>(1, bytes / 97),
       /*boundaries=*/{4, 8, 12, 16, 24, 32});
+  std::filesystem::remove(path);
+}
+
+TEST(QGramIndexTest, HostileCountsFailWithStatus) {
+  const std::string path = "/tmp/emx_retrieval_test_hostile.bin";
+  IndexOptions opts;
+  opts.num_shards = 4;
+  QGramIndex index(opts);
+  index.AddBatch({"acer aspire 5", "asus zenbook 14", "dell xps 13",
+                  "hp spectre x360", "lenovo yoga 7"});
+  ASSERT_TRUE(index.Save(path).ok());
+  ASSERT_TRUE(QGramIndex::Load(path).ok());
+
+  // Each patch claims 2^40 of something; the loader must refuse with a
+  // Status before sizing any allocation from it.
+  const uint64_t huge = 1ull << 40;
+  auto fails = [](const std::string& patched) {
+    auto loaded = QGramIndex::Load(patched);
+    EXPECT_FALSE(loaded.ok()) << "accepted " << patched;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  };
+  using emx::testing::EmxmAuxOffset;
+  using emx::testing::WithPatchedField;
+  // Shard 0's feature count, and the element counts of the feature and
+  // posting sections.
+  WithPatchedField<uint64_t>(
+      path, emx::testing::EmxmPayloadOffset(path, "ridx:shards"), huge, fails);
+  WithPatchedField<uint64_t>(path, EmxmAuxOffset(path, "ridx:df", 0), huge,
+                             fails);
+  WithPatchedField<uint64_t>(path, EmxmAuxOffset(path, "ridx:keys:end", 0),
+                             huge, fails);
+  WithPatchedField<uint64_t>(path, EmxmAuxOffset(path, "ridx:ids", 0), huge,
+                             fails);
+  // next_id, held in the shards section's aux slots.
+  WithPatchedField<uint64_t>(path, EmxmAuxOffset(path, "ridx:shards", 4),
+                             huge, fails);
   std::filesystem::remove(path);
 }
 
@@ -240,10 +283,13 @@ TEST(QGramIndexTest, StreamingIngestWhileQueryingIsDeterministic) {
       EXPECT_EQ(a[i].score, b[i].score);
     }
   }
-  std::ostringstream sa, sb;
-  ASSERT_TRUE(reference.SaveTo(sa).ok());
-  ASSERT_TRUE(contended.SaveTo(sb).ok());
-  EXPECT_EQ(sa.str(), sb.str());
+  const std::string pa = "/tmp/emx_retrieval_test_reference.bin";
+  const std::string pb = "/tmp/emx_retrieval_test_contended.bin";
+  ASSERT_TRUE(reference.Save(pa).ok());
+  ASSERT_TRUE(contended.Save(pb).ok());
+  EXPECT_EQ(emx::testing::ReadFileBytes(pa), emx::testing::ReadFileBytes(pb));
+  std::filesystem::remove(pa);
+  std::filesystem::remove(pb);
 }
 
 // ---- Catalog generator -----------------------------------------------------
@@ -524,6 +570,36 @@ TEST_F(CatalogMatcherTest, SaveIsAtomicAndEveryTruncationFails) {
       },
       /*stride=*/std::max<size_t>(1, bytes / 97),
       /*boundaries=*/{4, 8, 12, 16, 24, 32});
+  std::filesystem::remove(path);
+}
+
+TEST_F(CatalogMatcherTest, HostileCountsFailWithStatus) {
+  const std::string path = "/tmp/emx_retrieval_test_catalog_hostile.bin";
+  serve::MatcherEngine engine(Matcher(), EngineOpts());
+  CatalogMatcher catalog(&engine);
+  catalog.AddBatch({"acer aspire 5", "asus zenbook 14", "dell xps 13"});
+  ASSERT_TRUE(catalog.Save(path).ok());
+  ASSERT_TRUE(CatalogMatcher::Load(path, &engine).ok());
+
+  const uint64_t huge = 1ull << 40;
+  auto fails = [&](const std::string& patched) {
+    auto loaded = CatalogMatcher::Load(patched, &engine);
+    EXPECT_FALSE(loaded.ok()) << "accepted " << patched;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  };
+  using emx::testing::EmxmAuxOffset;
+  using emx::testing::WithPatchedField;
+  // The text count, a text's end offset, and the index's next_id.
+  WithPatchedField<uint64_t>(path, EmxmAuxOffset(path, "cat:texts:end", 0),
+                             huge, fails);
+  WithPatchedField<uint64_t>(
+      path, emx::testing::EmxmPayloadOffset(path, "cat:texts:end"), huge,
+      fails);
+  WithPatchedField<uint64_t>(path, EmxmAuxOffset(path, "ridx:shards", 4),
+                             huge, fails);
+  // A next_id inside the u32 id space must still agree with the texts.
+  WithPatchedField<uint64_t>(path, EmxmAuxOffset(path, "ridx:shards", 4), 4,
+                             fails);
   std::filesystem::remove(path);
 }
 
