@@ -149,6 +149,29 @@ void BM_Softmax(benchmark::State& state) {
 }
 BENCHMARK(BM_Softmax);
 
+/// GELU over the FFN hidden activations, [rows, 256]: rows = 160 is a
+/// served batch (pair_stream), 896 the Table 6 fine-tune batch (16 x 56).
+void BM_Gelu(benchmark::State& state) {
+  Rng rng(5);
+  Tensor x = Tensor::Randn({state.range(0), 256}, &rng, 2.0f);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ops::Gelu(x));
+  }
+  state.SetItemsProcessed(state.iterations() * x.size());
+}
+BENCHMARK(BM_Gelu)->Arg(160)->Arg(896);
+
+void BM_GeluGrad(benchmark::State& state) {
+  Rng rng(6);
+  Tensor x = Tensor::Randn({state.range(0), 256}, &rng, 2.0f);
+  Tensor dy = Tensor::Randn({state.range(0), 256}, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ops::GeluGrad(dy, x));
+  }
+  state.SetItemsProcessed(state.iterations() * x.size());
+}
+BENCHMARK(BM_GeluGrad)->Arg(160)->Arg(896);
+
 void BM_LayerNorm(benchmark::State& state) {
   Rng rng(4);
   Tensor x = Tensor::Randn({16 * 56, 64}, &rng);

@@ -1,7 +1,6 @@
 #include "tensor/fused_attention.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -206,18 +205,16 @@ Tensor FusedAttentionForward(const Tensor& q, const Tensor& k,
         }
       }
 
-      // Pass 2: exact softmax over each scratch row (exp/sum/normalize in
-      // ascending j, exactly like ops::Softmax), fully-masked rows zeroed
-      // like autograd::MaskedSoftmax, then the dropout scale.
+      // Pass 2: exact softmax over each scratch row (exp map, then the
+      // ascending-j sum, then normalize, exactly like ops::Softmax),
+      // fully-masked rows zeroed like autograd::MaskedSoftmax, then the
+      // dropout scale.
       for (int64_t i = 0; i < br; ++i) {
         float* srow = scores + i * tk;
         const float m = m_run[i];
+        for (int64_t j = 0; j < tk; ++j) srow[j] = ExpApprox(srow[j] - m);
         float denom = 0.0f;
-        for (int64_t j = 0; j < tk; ++j) {
-          const float e = std::exp(srow[j] - m);
-          srow[j] = e;
-          denom += e;
-        }
+        for (int64_t j = 0; j < tk; ++j) denom += srow[j];
         if (pm != nullptr) {
           const int64_t stat = (bi * heads + hi) * tq + i0 + i;
           pm[stat] = m;
@@ -351,7 +348,7 @@ void FusedAttentionBackward(const Tensor& dout, const Tensor& q,
         for (int64_t j = 0; j < tk; ++j) {
           float s = prob[j] * cfg.scale;
           if (mrow != nullptr && mrow[j] != 0.0f) s += cfg.penalty;
-          prob[j] = std::exp(s - m) * inv_l;
+          prob[j] = ExpApprox(s - m) * inv_l;
         }
 
         // dprob[j] = dout_i . v_j, through the dropout mul if present.

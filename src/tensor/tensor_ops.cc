@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <vector>
 
 #include "obs/trace.h"
@@ -54,8 +53,6 @@ Tensor Binary(const Tensor& a, const Tensor& b, F f, const char* op) {
   });
   return out;
 }
-
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
 
 }  // namespace
 
@@ -128,7 +125,7 @@ Tensor Sqrt(const Tensor& x) {
 }
 
 Tensor Tanh(const Tensor& x) {
-  return Elementwise(x, [](float v) { return std::tanh(v); });
+  return Elementwise(x, [](float v) { return TanhApprox(v); });
 }
 
 Tensor Sigmoid(const Tensor& x) {
@@ -145,21 +142,15 @@ Tensor ReluGrad(const Tensor& dy, const Tensor& x) {
 }
 
 Tensor Gelu(const Tensor& x) {
-  return Elementwise(x, [](float v) {
-    return 0.5f * v * (1.0f + std::tanh(kGeluC * (v + 0.044715f * v * v * v)));
-  });
+  EMX_TRACE_SPAN("kernel.gelu",
+                 [&] { return obs::KeyValues({{"elements", x.size()}}); });
+  return Elementwise(x, [](float v) { return GeluScalar(v); });
 }
 
 Tensor GeluGrad(const Tensor& dy, const Tensor& x) {
-  return Binary(dy, x,
-                [](float g, float v) {
-                  const float v3 = v * v * v;
-                  const float inner = kGeluC * (v + 0.044715f * v3);
-                  const float t = std::tanh(inner);
-                  const float dinner = kGeluC * (1.0f + 3.0f * 0.044715f * v * v);
-                  const float d = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * dinner;
-                  return g * d;
-                },
+  EMX_TRACE_SPAN("kernel.gelu_grad",
+                 [&] { return obs::KeyValues({{"elements", x.size()}}); });
+  return Binary(dy, x, [](float g, float v) { return g * GeluGradScalar(v); },
                 "GeluGrad");
 }
 
@@ -538,11 +529,11 @@ Tensor Softmax(const Tensor& x) {
       float* dst = o + r * n;
       float mx = src[0];
       for (int64_t j = 1; j < n; ++j) mx = std::max(mx, src[j]);
+      // The exp map vectorizes; the sum stays a separate ascending-j chain
+      // (the fused attention kernel reproduces it bit for bit).
+      for (int64_t j = 0; j < n; ++j) dst[j] = ExpApprox(src[j] - mx);
       float denom = 0.0f;
-      for (int64_t j = 0; j < n; ++j) {
-        dst[j] = std::exp(src[j] - mx);
-        denom += dst[j];
-      }
+      for (int64_t j = 0; j < n; ++j) denom += dst[j];
       const float inv = 1.0f / denom;
       for (int64_t j = 0; j < n; ++j) dst[j] *= inv;
     }
@@ -809,6 +800,9 @@ Tensor LayerNormBackward(const Tensor& dy, const Tensor& x,
                          const Tensor& rstd, Tensor* dgamma, Tensor* dbeta) {
   const int64_t h = x.dim(-1);
   const int64_t rows = x.size() / h;
+  EMX_TRACE_SPAN("kernel.layernorm_bwd", [&] {
+    return obs::KeyValues({{"rows", rows}, {"hidden", h}});
+  });
   Tensor dx(x.shape());
   const float* pdy = dy.data();
   const float* px = x.data();
@@ -818,42 +812,52 @@ Tensor LayerNormBackward(const Tensor& dy, const Tensor& x,
   float* pdx = dx.data();
   float* pdg = dgamma->data();
   float* pdb = dbeta->data();
-  // Rows are independent for dx, but dgamma/dbeta reduce across rows: each
-  // chunk accumulates private partials and merges them under a mutex.
-  std::mutex merge_mu;
-  ParallelFor(rows, RowGrain(h), [&](int64_t begin, int64_t end) {
-    std::vector<float> local_dg(h, 0.0f);
-    std::vector<float> local_db(h, 0.0f);
-    for (int64_t r = begin; r < end; ++r) {
-      const float* gy = pdy + r * h;
-      const float* xx = px + r * h;
-      float* gx = pdx + r * h;
-      const float mu = pm[r];
-      const float rs = pr[r];
-      // xhat_j = (x_j - mu) * rs; dxhat_j = gy_j * gamma_j.
-      float sum_dxhat = 0.0f;
-      float sum_dxhat_xhat = 0.0f;
-      for (int64_t j = 0; j < h; ++j) {
-        const float xhat = (xx[j] - mu) * rs;
-        const float dxhat = gy[j] * pg[j];
-        sum_dxhat += dxhat;
-        sum_dxhat_xhat += dxhat * xhat;
-        local_dg[j] += gy[j] * xhat;
-        local_db[j] += gy[j];
+  // Rows are independent for dx, but dgamma/dbeta reduce across rows. The
+  // rows are cut into fixed blocks (a function of the shape only); each
+  // block sums its rows in order into its own partial, and the partials are
+  // added in block order, so the result does not depend on how many threads
+  // ran or which block finished first.
+  const int64_t block_rows = RowGrain(h);
+  const int64_t blocks = (rows + block_rows - 1) / block_rows;
+  std::vector<float> part_dg(static_cast<size_t>(blocks * h), 0.0f);
+  std::vector<float> part_db(static_cast<size_t>(blocks * h), 0.0f);
+  ParallelFor(blocks, 1, [&](int64_t block_begin, int64_t block_end) {
+    for (int64_t blk = block_begin; blk < block_end; ++blk) {
+      float* local_dg = part_dg.data() + blk * h;
+      float* local_db = part_db.data() + blk * h;
+      const int64_t row_end = std::min(rows, (blk + 1) * block_rows);
+      for (int64_t r = blk * block_rows; r < row_end; ++r) {
+        const float* gy = pdy + r * h;
+        const float* xx = px + r * h;
+        float* gx = pdx + r * h;
+        const float mu = pm[r];
+        const float rs = pr[r];
+        // xhat_j = (x_j - mu) * rs; dxhat_j = gy_j * gamma_j.
+        float sum_dxhat = 0.0f;
+        float sum_dxhat_xhat = 0.0f;
+        for (int64_t j = 0; j < h; ++j) {
+          const float xhat = (xx[j] - mu) * rs;
+          const float dxhat = gy[j] * pg[j];
+          sum_dxhat += dxhat;
+          sum_dxhat_xhat += dxhat * xhat;
+          local_dg[j] += gy[j] * xhat;
+          local_db[j] += gy[j];
+        }
+        const float inv_h = 1.0f / static_cast<float>(h);
+        for (int64_t j = 0; j < h; ++j) {
+          const float xhat = (xx[j] - mu) * rs;
+          const float dxhat = gy[j] * pg[j];
+          gx[j] = rs * (dxhat - inv_h * sum_dxhat - xhat * inv_h * sum_dxhat_xhat);
+        }
       }
-      const float inv_h = 1.0f / static_cast<float>(h);
-      for (int64_t j = 0; j < h; ++j) {
-        const float xhat = (xx[j] - mu) * rs;
-        const float dxhat = gy[j] * pg[j];
-        gx[j] = rs * (dxhat - inv_h * sum_dxhat - xhat * inv_h * sum_dxhat_xhat);
-      }
-    }
-    std::lock_guard<std::mutex> lock(merge_mu);
-    for (int64_t j = 0; j < h; ++j) {
-      pdg[j] += local_dg[j];
-      pdb[j] += local_db[j];
     }
   });
+  for (int64_t blk = 0; blk < blocks; ++blk) {
+    for (int64_t j = 0; j < h; ++j) {
+      pdg[j] += part_dg[static_cast<size_t>(blk * h + j)];
+      pdb[j] += part_db[static_cast<size_t>(blk * h + j)];
+    }
+  }
   return dx;
 }
 

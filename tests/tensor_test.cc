@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <numbers>
 #include <vector>
 
+#include "tensor/kernel_math.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
@@ -187,12 +192,142 @@ TEST(TensorOpsTest, UnaryFunctions) {
 }
 
 TEST(TensorOpsTest, GeluValues) {
-  // Known reference values for tanh-approximated GELU.
-  Tensor x({3}, {-1.0f, 0.0f, 2.0f});
+  // Tanh-approximated GELU against a double evaluation of the same formula,
+  // and its derivative against the double derivative. For x << 0 both
+  // cancel in 1 + tanh (and 1 - tanh^2), so TanhApprox's 5 ulp near -1
+  // (3e-7 absolute) comes out scaled by |x| and, for the derivative, by
+  // |x| * dinner as well.
+  constexpr int64_t kN = 4001;
+  Tensor x({kN});
+  for (int64_t i = 0; i < kN; ++i) x[i] = -10.0f + 20.0f * i / (kN - 1);
+  Tensor dy = Tensor::Ones({kN});
   Tensor y = ops::Gelu(x);
-  EXPECT_NEAR(y[0], -0.1588f, 1e-3);
-  EXPECT_NEAR(y[1], 0.0f, 1e-7);
-  EXPECT_NEAR(y[2], 1.9546f, 1e-3);
+  Tensor dx = ops::GeluGrad(dy, x);
+  const double c = std::sqrt(2.0 / std::numbers::pi);
+  for (int64_t i = 0; i < kN; ++i) {
+    const double v = x[i];
+    const double t = std::tanh(c * (v + 0.044715 * v * v * v));
+    const double ref = 0.5 * v * (1.0 + t);
+    const double dinner = c * (1.0 + 3 * 0.044715 * v * v);
+    const double dref = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner;
+    const double tol = 2.5e-7 * std::max(1.0, std::abs(v));
+    EXPECT_NEAR(y[i], ref, tol) << "x=" << v;
+    EXPECT_NEAR(dx[i], dref, tol * (1.0 + 2.0 * dinner)) << "x=" << v;
+  }
+}
+
+// ---- Kernel math helpers ---------------------------------------------------
+
+/// Distance in representable floats between `a` and the float nearest to
+/// `ref` (0 = correctly rounded).
+int64_t UlpDistance(float a, double ref) {
+  auto key = [](float f) {
+    const int32_t b = std::bit_cast<int32_t>(f);
+    return b < 0 ? -static_cast<int64_t>(b & 0x7fffffff)
+                 : static_cast<int64_t>(b);
+  };
+  return std::abs(key(a) - key(static_cast<float>(ref)));
+}
+
+TEST(KernelMathTest, ExpApproxWithinOneUlp) {
+  constexpr int64_t kN = 1 << 22;
+  int64_t worst = 0;
+  float worst_x = 0.0f;
+  for (int64_t i = 0; i <= kN; ++i) {
+    const float x = static_cast<float>(-87.0 + 175.0 * i / kN);
+    const int64_t d = UlpDistance(ops::ExpApprox(x), std::exp(double{x}));
+    if (d > worst) {
+      worst = d;
+      worst_x = x;
+    }
+  }
+  EXPECT_LE(worst, 1) << "at x=" << worst_x;
+  EXPECT_EQ(ops::ExpApprox(0.0f), 1.0f);
+}
+
+TEST(KernelMathTest, TanhApproxWithinFiveUlp) {
+  constexpr int64_t kN = 1 << 22;
+  int64_t worst = 0;
+  float worst_x = 0.0f;
+  auto check = [&](float x) {
+    const int64_t d = UlpDistance(ops::TanhApprox(x), std::tanh(double{x}));
+    if (d > worst) {
+      worst = d;
+      worst_x = x;
+    }
+  };
+  for (int64_t i = 0; i <= kN; ++i) {
+    check(static_cast<float>(-20.0 + 40.0 * i / kN));
+    // Log-spaced magnitudes down to 1e-30, where tanh x rounds to x.
+    const float m = static_cast<float>(std::exp(-69.0 + 72.0 * i / kN));
+    check(m);
+    check(-m);
+  }
+#if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
+  EXPECT_LE(worst, 5) << "at x=" << worst_x;
+#else
+  EXPECT_LE(worst, 7) << "at x=" << worst_x;
+#endif
+}
+
+TEST(KernelMathTest, EdgeCases) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(ops::ExpApprox(nan)));
+  EXPECT_TRUE(std::isnan(ops::TanhApprox(nan)));
+  EXPECT_TRUE(std::isnan(ops::GeluScalar(nan)));
+  EXPECT_EQ(ops::TanhApprox(kInf), 1.0f);
+  EXPECT_EQ(ops::TanhApprox(-kInf), -1.0f);
+  EXPECT_EQ(ops::TanhApprox(9.0f), 1.0f);
+  EXPECT_EQ(ops::TanhApprox(-20.0f), -1.0f);
+  EXPECT_EQ(ops::TanhApprox(0.0f), 0.0f);
+  EXPECT_TRUE(std::signbit(ops::TanhApprox(-0.0f)));
+  EXPECT_EQ(ops::ExpApprox(-kInf), 0.0f);
+  for (float x : {-87.35f, -88.0f, -104.0f, -1e30f}) {
+    EXPECT_EQ(ops::ExpApprox(x), 0.0f) << "x=" << x;
+  }
+  // Just above the flush threshold the result is a normal float.
+  EXPECT_GE(ops::ExpApprox(-87.336f), std::numeric_limits<float>::min());
+  // The largest input whose exp is finite stays finite (2^n = 2^128 is
+  // assembled from two factors); the next float up overflows.
+  const float hi = 88.72283172607421875f;
+  EXPECT_TRUE(std::isfinite(ops::ExpApprox(hi)));
+  EXPECT_LE(UlpDistance(ops::ExpApprox(hi), std::exp(double{hi})), 1);
+  EXPECT_EQ(ops::ExpApprox(std::nextafter(hi, kInf)), kInf);
+  for (float x : {89.0f, 100.0f, 1e30f, kInf}) {
+    EXPECT_EQ(ops::ExpApprox(x), kInf) << "x=" << x;
+  }
+  EXPECT_EQ(ops::GeluScalar(kInf), kInf);
+  EXPECT_EQ(ops::GeluScalar(-100.0f), 0.0f);
+}
+
+TEST(KernelMathTest, TensorOpsMatchScalarHelpersBitwise) {
+  // The vectorized loops in ops::Tanh/Gelu/GeluGrad/Softmax round exactly
+  // like a scalar call of the helper (explicit MulAdd everywhere).
+  Rng rng(21);
+  Tensor x = Tensor::Randn({333, 65}, &rng, 4.0f);
+  Tensor dy = Tensor::Ones(x.shape());
+  Tensor th = ops::Tanh(x);
+  Tensor gelu = ops::Gelu(x);
+  Tensor grad = ops::GeluGrad(dy, x);
+  Tensor soft = ops::Softmax(x);
+  for (int64_t i = 0; i < x.size(); ++i) {
+    ASSERT_EQ(th[i], ops::TanhApprox(x[i])) << i;
+    ASSERT_EQ(gelu[i], ops::GeluScalar(x[i])) << i;
+    ASSERT_EQ(grad[i], ops::GeluGradScalar(x[i])) << i;
+  }
+  const int64_t n = x.dim(1);
+  for (int64_t r = 0; r < x.dim(0); ++r) {
+    float mx = x[r * n];
+    for (int64_t j = 1; j < n; ++j) mx = std::max(mx, x[r * n + j]);
+    float denom = 0.0f;
+    for (int64_t j = 0; j < n; ++j) denom += ops::ExpApprox(x[r * n + j] - mx);
+    for (int64_t j = 0; j < n; ++j) {
+      ASSERT_EQ(soft[r * n + j],
+                ops::ExpApprox(x[r * n + j] - mx) * (1.0f / denom))
+          << r << "," << j;
+    }
+  }
 }
 
 // ---- MatMul ----------------------------------------------------------------
@@ -503,6 +638,42 @@ TEST(LayerNormTest, AffineApplied) {
   // Normalized values are -1 and +1 (up to eps), so outputs ~ 8 and 12.
   EXPECT_NEAR(y[0], 8.0f, 1e-2);
   EXPECT_NEAR(y[1], 12.0f, 1e-2);
+}
+
+TEST(LayerNormTest, BackwardIsBitwiseRepeatable) {
+  // dgamma/dbeta reduce across rows on the thread pool; repeated calls must
+  // return the same bits whatever order the chunks finish in.
+  Rng rng(14);
+  Tensor x = Tensor::Randn({896, 64}, &rng);
+  Tensor dy = Tensor::Randn({896, 64}, &rng);
+  Tensor gamma = Tensor::Randn({64}, &rng);
+  Tensor beta = Tensor::Zeros({64});
+  Tensor mean, rstd;
+  ops::LayerNormForward(x, gamma, beta, 1e-5f, &mean, &rstd);
+  auto run = [&](Tensor* dg, Tensor* db) {
+    *dg = Tensor::Zeros({64});
+    *db = Tensor::Zeros({64});
+    return ops::LayerNormBackward(dy, x, gamma, mean, rstd, dg, db);
+  };
+  Tensor dg0, db0;
+  Tensor dx0 = run(&dg0, &db0);
+  int mismatches = 0;
+  for (int rep = 0; rep < 200; ++rep) {
+    Tensor dg, db;
+    Tensor dx = run(&dg, &db);
+    if (std::memcmp(dg.data(), dg0.data(), 64 * sizeof(float)) != 0 ||
+        std::memcmp(db.data(), db0.data(), 64 * sizeof(float)) != 0 ||
+        std::memcmp(dx.data(), dx0.data(), dx.size() * sizeof(float)) != 0) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  // And the reduction still equals the row sum it stands for.
+  for (int64_t j = 0; j < 64; ++j) {
+    double sum = 0.0;
+    for (int64_t r = 0; r < 896; ++r) sum += dy[r * 64 + j];
+    EXPECT_NEAR(db0[j], sum, 1e-3);
+  }
 }
 
 // ---- AllClose helpers ------------------------------------------------------
