@@ -123,9 +123,21 @@ Result<std::vector<CatalogMatch>> CatalogMatcher::FindMatches(
     // split-serving engine, its layer-k prefix is encoded once per
     // truncation length instead of once per candidate.
     const serve::PinnedQuery pinned = engine_->PinQuery(std::string(query));
+    // One copy of each candidate text, taken under one lock (same lookup
+    // as Text()); the engine gets its own copy and the kept match takes
+    // this one.
+    std::vector<std::string> texts;
+    texts.reserve(static_cast<size_t>(rerank));
+    {
+      std::shared_lock<std::shared_mutex> lock(texts_mu_);
+      for (int64_t i = 0; i < rerank; ++i) {
+        const size_t id = static_cast<size_t>(cands[i].id);
+        texts.push_back(id < texts_.size() ? texts_[id] : std::string());
+      }
+    }
     for (int64_t i = 0; i < rerank; ++i) {
-      futures.push_back(engine_->SubmitAgainst(pinned, Text(cands[i].id),
-                                               options_.rerank_timeout_us));
+      futures.push_back(engine_->SubmitAgainst(
+          pinned, texts[static_cast<size_t>(i)], options_.rerank_timeout_us));
     }
     for (int64_t i = 0; i < rerank; ++i) {
       serve::MatchResult r = futures[static_cast<size_t>(i)].get();
@@ -136,7 +148,7 @@ Result<std::vector<CatalogMatch>> CatalogMatcher::FindMatches(
       }
       CatalogMatch m;
       m.id = cands[static_cast<size_t>(i)].id;
-      m.text = Text(m.id);
+      m.text = std::move(texts[static_cast<size_t>(i)]);
       m.retrieval_score = cands[static_cast<size_t>(i)].score;
       m.probability = r.probability;
       m.is_match = r.is_match;

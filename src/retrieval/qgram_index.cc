@@ -32,6 +32,44 @@ bool ScoreOrder(const ScoredId& a, const ScoredId& b) {
   return a.id < b.id;
 }
 
+/// Per-thread scratch of one TopK shard task: a dense score accumulator
+/// indexed by local id (id / num_shards), the local ids it touched in
+/// first-seen order, and room for the k-th-best check. `acc` is all zeros
+/// between tasks; only touched entries are reset, so a query pays for its
+/// candidates, not for the shard size. The buffers only grow, to
+/// 8 B x records / num_shards for `acc`.
+struct ShardScratch {
+  std::vector<double> acc;
+  std::vector<uint32_t> touched;
+  std::vector<double> floor;
+
+  /// Restores the all-zero invariant when a shard task ends, however it
+  /// ends.
+  struct Release {
+    ShardScratch* scratch;
+    ~Release() {
+      for (uint32_t local_id : scratch->touched) scratch->acc[local_id] = 0;
+      scratch->touched.clear();
+    }
+  };
+};
+
+ShardScratch& LocalShardScratch() {
+  thread_local ShardScratch scratch;
+  return scratch;
+}
+
+/// The k-th best of the touched accumulators (requires touched.size() >= k).
+double KthBestScore(const std::vector<double>& acc,
+                    const std::vector<uint32_t>& touched, int64_t k,
+                    std::vector<double>* scratch) {
+  scratch->clear();
+  for (uint32_t local_id : touched) scratch->push_back(acc[local_id]);
+  std::nth_element(scratch->begin(), scratch->begin() + (k - 1),
+                   scratch->end(), std::greater<double>());
+  return (*scratch)[static_cast<size_t>(k - 1)];
+}
+
 }  // namespace
 
 QGramIndex::QGramIndex(IndexOptions options) : options_(options) {
@@ -247,56 +285,84 @@ std::vector<ScoredId> QGramIndex::TopK(std::string_view query,
                               static_cast<int64_t>(features.size())},
                              {"k", k}});
     });
+    // Posting ids are u32 and shard s holds ids s, s + S, s + 2S, ..., so
+    // id / S is a dense local id within the shard.
+    const uint32_t num_shards = static_cast<uint32_t>(options_.num_shards);
     ParallelFor(options_.num_shards, 1, [&](int64_t lo, int64_t hi) {
       for (int64_t s = lo; s < hi; ++s) {
         Shard& shard = shards_[static_cast<size_t>(s)];
-        std::unordered_map<uint32_t, double> acc;
+        ShardScratch& scratch = LocalShardScratch();
+        const ShardScratch::Release release{&scratch};
+        std::vector<double>& acc = scratch.acc;
+        std::vector<uint32_t>& touched = scratch.touched;
         // Once `closed`, no NEW candidate ids are admitted; existing
         // accumulators keep updating, in the same feature order as the
         // unpruned path, so survivors score bit-identically.
         bool closed = false;
-        std::vector<double> floor_scratch;
+        // The k-th best partial score at the last check (feature `last`);
+        // < 0 until the first check.
+        double last_floor = -1;
+        size_t last = 0;
         {
           std::shared_lock<std::shared_mutex> lock(shard.mu);
+          // Sized under the lock, not from `n`: ingest bumps next_id_
+          // before it takes the writer lock, so every id visible here is
+          // below this load, however far ingest ran since TopK began.
+          const size_t local_n =
+              static_cast<size_t>(next_id_.load(std::memory_order_relaxed) /
+                                  options_.num_shards) + 1;
+          if (acc.size() < local_n) acc.resize(local_n, 0.0);
           for (size_t i = 0; i < features.size(); ++i) {
             if (options_.prune_topk && !closed &&
-                static_cast<int64_t>(acc.size()) >= k && k > 0) {
-              // Current k-th best partial score in this shard. Partials
-              // only grow, so it lower-bounds the final k-th best. A record
-              // unseen so far finishes at most at suffix[i] (a subset of
-              // the remaining weights); requiring floor to clear it by a
-              // relative margin absorbs floating-point rounding between
-              // the subset sum and the suffix sum, keeping the strict
-              // comparison safe. Once it clears, at least k records beat
-              // every future first-timer — stop admitting them.
-              floor_scratch.clear();
-              floor_scratch.reserve(acc.size());
-              for (const auto& [id, score] : acc) {
-                floor_scratch.push_back(score);
+                static_cast<int64_t>(touched.size()) >= k) {
+              // floor = current k-th best partial score in this shard.
+              // Partials only grow, so it lower-bounds the final k-th best.
+              // A record unseen so far finishes at most at suffix[i] (a
+              // subset of the remaining weights); requiring floor to clear
+              // it by a relative margin absorbs floating-point rounding
+              // between the subset sum and the suffix sum, keeping the
+              // strict comparison safe. Once it clears, at least k records
+              // beat every future first-timer — stop admitting them.
+              const double bar = suffix[i] * (1.0 + 1e-9);
+              // Since the last check no partial (and no first-timer, which
+              // starts at 0) gained more than the weight processed in
+              // between, so the floor is at most last_floor + that weight.
+              // Recompute only once that bound clears the bar. The bound
+              // only decides when to look; the test above decides whether
+              // to close, so a late look costs work, never a result.
+              if (last_floor < 0 ||
+                  last_floor + (suffix[last] - suffix[i]) > bar) {
+                last_floor = KthBestScore(acc, touched, k, &scratch.floor);
+                last = i;
+                if (last_floor > bar) closed = true;
               }
-              std::nth_element(floor_scratch.begin(),
-                               floor_scratch.begin() + (k - 1),
-                               floor_scratch.end(), std::greater<double>());
-              const double floor =
-                  floor_scratch[static_cast<size_t>(k - 1)];
-              if (floor > suffix[i] * (1.0 + 1e-9)) closed = true;
             }
             auto it = shard.features.find(features[i]);
             if (it == shard.features.end() || it->second.stopped) continue;
+            // Every idf weight is > 0, so a zero accumulator means "not
+            // yet a candidate".
+            const double w = weights[i];
             if (closed) {
               for (uint32_t id : it->second.ids) {
-                auto entry = acc.find(id);
-                if (entry != acc.end()) entry->second += weights[i];
+                double& score = acc[id / num_shards];
+                if (score > 0) score += w;
               }
             } else {
-              for (uint32_t id : it->second.ids) acc[id] += weights[i];
+              for (uint32_t id : it->second.ids) {
+                const uint32_t local_id = id / num_shards;
+                double& score = acc[local_id];
+                if (score == 0) touched.push_back(local_id);
+                score += w;
+              }
             }
           }
         }
         std::vector<ScoredId>& local = per_shard[static_cast<size_t>(s)];
-        local.reserve(acc.size());
-        for (const auto& [id, score] : acc) {
-          local.push_back({static_cast<int64_t>(id), score});
+        local.reserve(touched.size());
+        for (uint32_t local_id : touched) {
+          local.push_back(
+              {static_cast<int64_t>(local_id) * options_.num_shards + s,
+               acc[local_id]});
         }
         if (static_cast<int64_t>(local.size()) > k) {
           std::nth_element(local.begin(), local.begin() + k, local.end(),

@@ -91,10 +91,13 @@ constexpr float kGeluC = 0.7978845608028654f;
 
 /// tanh-approximated GELU: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))).
 /// The one definition shared by ops::Gelu and the int8 FFN's activation LUT.
+/// -inf maps to 0 like every large negative input; the formula alone gives
+/// -inf * -1 + -inf = NaN there, so it is selected out (branch-free).
 inline float GeluScalar(float x) {
   const float t = TanhApprox(kGeluC * MulAdd(0.044715f * x * x, x, x));
   const float half_x = 0.5f * x;
-  return MulAdd(half_x, t, half_x);
+  const float y = MulAdd(half_x, t, half_x);
+  return x == -std::numeric_limits<float>::infinity() ? 0.0f : y;
 }
 
 /// d GeluScalar / dx.

@@ -349,15 +349,16 @@ TEST(FleetRouterTest, LeastLoadedAvoidsBusyShard) {
 
   // First request ties (both idle) and goes to shard 0 (the slow one);
   // while it is in flight, everything else must pick the idle fast shard.
-  std::vector<std::future<RouteResult>> futures;
-  for (int i = 0; i < 6; ++i) {
-    futures.push_back(router.Submit("pair " + std::to_string(i), "x"));
-    std::this_thread::sleep_for(milliseconds(5));
-  }
-  for (auto& f : futures) {
-    RouteResult r = f.get();
+  // Each fast request is awaited before the next is submitted (the fake
+  // shard drops its in-flight count before completing), so the router
+  // always sees slow = 1, fast = 0 however loaded the host is.
+  std::future<RouteResult> slow_result = router.Submit("pair 0", "x");
+  for (int i = 1; i < 6; ++i) {
+    RouteResult r = router.Submit("pair " + std::to_string(i), "x").get();
     ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   }
+  RouteResult r = slow_result.get();
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(slow->dispatched(), 1);
   EXPECT_EQ(fast->dispatched(), 5);
   router.Shutdown();

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/entity_matcher.h"
@@ -292,6 +295,53 @@ TEST(QGramIndexTest, StreamingIngestWhileQueryingIsDeterministic) {
   std::filesystem::remove(pb);
 }
 
+TEST(QGramIndexTest, TopKRacingAddBatchSeesOnlyIndexedIds) {
+  // TopK's per-shard score scratch is indexed by posting id, and ingest
+  // keeps landing ids while a query runs: ids appended after TopK began
+  // must still fit. Each round starts from an empty index with fresh
+  // querier threads; with one shard, scoring runs inline on the querier,
+  // so its thread-local scratch starts small too.
+  data::CatalogSpec spec;
+  spec.num_records = 600;
+  spec.num_queries = 20;
+  data::Catalog cat = data::GenerateCatalog(spec);
+  const int queriers =
+      std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
+
+  for (int64_t shards : {1, 4, 1, 4}) {
+    IndexOptions opts;
+    opts.num_shards = shards;
+    QGramIndex index(opts);
+    std::atomic<bool> done{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < queriers; ++t) {
+      threads.emplace_back([&, t] {
+        for (size_t q = static_cast<size_t>(t); !done.load();
+             q = (q + 1) % cat.queries.size()) {
+          auto top = index.TopK(cat.queries[q], 10);
+          const int64_t size = index.size();
+          for (size_t i = 0; i < top.size(); ++i) {
+            ASSERT_GE(top[i].id, 0);
+            ASSERT_LT(top[i].id, size);
+            if (i > 0) {
+              ASSERT_LE(top[i].score, top[i - 1].score);
+            }
+          }
+        }
+      });
+    }
+    constexpr size_t kChunk = 8;
+    for (size_t i = 0; i < cat.records.size(); i += kChunk) {
+      const size_t end = std::min(cat.records.size(), i + kChunk);
+      index.AddBatch(std::vector<std::string>(cat.records.begin() + i,
+                                              cat.records.begin() + end));
+    }
+    done.store(true);
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(index.size(), static_cast<int64_t>(cat.records.size()));
+  }
+}
+
 // ---- Catalog generator -----------------------------------------------------
 
 TEST(GenerateCatalogTest, DeterministicAndWellFormed) {
@@ -396,6 +446,110 @@ TEST(QGramIndexTest, PrunedTopKIsBitIdenticalToUnpruned) {
       for (size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].id, b[i].id) << "k=" << k << " rank " << i;
         EXPECT_EQ(a[i].score, b[i].score) << "k=" << k << " rank " << i;
+      }
+    }
+  }
+}
+
+// Test-local reference scorer built only from Features() over every record:
+// df counted here, the per-shard stop cap max(1, max_postings / num_shards)
+// applied per shard, weights log(1 + n / (1 + df)), each record's score
+// summed in query-feature order, ranked by (score desc, id asc).
+class BruteForceScorer {
+ public:
+  BruteForceScorer(const QGramIndex& index,
+                   const std::vector<std::string>& records)
+      : index_(index), shard_df_(static_cast<size_t>(num_shards())) {
+    for (const std::string& r : records) {
+      std::vector<std::string> features = index.Features(r);
+      auto& df = shard_df_[record_features_.size() %
+                           static_cast<size_t>(num_shards())];
+      for (const std::string& f : features) ++df[f];
+      record_features_.emplace_back(features.begin(), features.end());
+    }
+  }
+
+  /// Every record sharing a live feature with the query, best first.
+  std::vector<ScoredId> Rank(std::string_view query) const {
+    const int64_t n = static_cast<int64_t>(record_features_.size());
+    const IndexOptions& opts = index_.options();
+    const int64_t cap =
+        std::max<int64_t>(1, opts.max_postings / opts.num_shards);
+    const std::vector<std::string> features = index_.Features(query);
+    std::vector<double> weights;
+    for (const std::string& f : features) {
+      int64_t df = 0;
+      for (int64_t s = 0; s < num_shards(); ++s) df += ShardDf(s, f);
+      weights.push_back(std::log(1.0 + static_cast<double>(n) /
+                                           (1.0 + static_cast<double>(df))));
+    }
+    std::vector<ScoredId> ranked;
+    for (int64_t r = 0; r < n; ++r) {
+      const auto& mine = record_features_[static_cast<size_t>(r)];
+      double score = 0;
+      bool hit = false;
+      for (size_t i = 0; i < features.size(); ++i) {
+        if (mine.count(features[i]) == 0) continue;
+        if (ShardDf(r % num_shards(), features[i]) > cap) continue;  // stop
+        score += weights[i];
+        hit = true;
+      }
+      if (hit) ranked.push_back({r, score});
+    }
+    std::sort(ranked.begin(), ranked.end(),
+              [](const ScoredId& a, const ScoredId& b) {
+                if (a.score != b.score) return a.score > b.score;
+                return a.id < b.id;
+              });
+    return ranked;
+  }
+
+ private:
+  int64_t num_shards() const { return index_.options().num_shards; }
+  int64_t ShardDf(int64_t shard, const std::string& f) const {
+    const auto& df = shard_df_[static_cast<size_t>(shard)];
+    auto it = df.find(f);
+    return it == df.end() ? 0 : it->second;
+  }
+
+  const QGramIndex& index_;
+  std::vector<std::unordered_map<std::string, int64_t>> shard_df_;
+  std::vector<std::unordered_set<std::string>> record_features_;
+};
+
+TEST(QGramIndexTest, TopKMatchesBruteForceGolden) {
+  data::CatalogSpec spec;
+  spec.num_records = 1500;
+  spec.num_queries = 30;
+  data::Catalog cat = data::GenerateCatalog(spec);
+  std::vector<std::string> queries = cat.queries;
+  // Verbatim records as queries: heavy overlap, many near-ties.
+  for (size_t r = 0; r < cat.records.size(); r += 150) {
+    queries.push_back(cat.records[r]);
+  }
+
+  for (bool prune : {true, false}) {
+    IndexOptions opts;
+    opts.prune_topk = prune;
+    opts.max_postings = 256;  // 32 per shard: boilerplate stops out
+    QGramIndex index(opts);
+    index.AddBatch(cat.records);
+    ASSERT_GT(index.num_stop_features(), 0);
+    const BruteForceScorer golden(index, cat.records);
+    for (const std::string& q : queries) {
+      const std::vector<ScoredId> ranked = golden.Rank(q);
+      ASSERT_FALSE(ranked.empty()) << q;
+      for (int64_t k : {1, 5, 64}) {
+        auto got = index.TopK(q, k);
+        ASSERT_EQ(got.size(),
+                  std::min(ranked.size(), static_cast<size_t>(k)))
+            << "prune=" << prune << " k=" << k << " q=" << q;
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].id, ranked[i].id)
+              << "prune=" << prune << " k=" << k << " rank " << i;
+          EXPECT_EQ(got[i].score, ranked[i].score)
+              << "prune=" << prune << " k=" << k << " rank " << i;
+        }
       }
     }
   }

@@ -299,6 +299,7 @@ TEST(KernelMathTest, EdgeCases) {
   }
   EXPECT_EQ(ops::GeluScalar(kInf), kInf);
   EXPECT_EQ(ops::GeluScalar(-100.0f), 0.0f);
+  EXPECT_EQ(ops::GeluScalar(-kInf), 0.0f);
 }
 
 TEST(KernelMathTest, TensorOpsMatchScalarHelpersBitwise) {
