@@ -71,7 +71,6 @@ struct Fleet {
     opts.max_seq_len = 32;
     opts.bucket_width = 32;
     opts.max_batch_size = 8;
-    opts.max_wait_us = 1000;
     return opts;
   }
 

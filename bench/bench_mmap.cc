@@ -365,7 +365,6 @@ int main(int argc, char** argv) {
     serve::EngineOptions opts;
     opts.precision = serve::Precision::kInt8;
     opts.max_batch_size = 8;
-    opts.max_wait_us = 500;
     opts.queue_capacity = 4096;
     opts.max_seq_len = kMaxSeqLen;
     serve::MatcherEngine engine(mapped.get(), opts);

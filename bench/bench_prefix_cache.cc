@@ -151,7 +151,6 @@ serve::EngineOptions ThroughputEngineOptions(int64_t max_seq_len,
                                              int64_t requests) {
   serve::EngineOptions opts;
   opts.max_batch_size = 16;
-  opts.max_wait_us = 2000;
   opts.max_seq_len = max_seq_len;
   opts.bucket_width = max_seq_len;
   opts.queue_capacity = requests + 16;
@@ -210,7 +209,6 @@ int64_t CountK0Mismatches(core::EntityMatcher* matcher,
   serve::EngineOptions base;
   base.max_seq_len = max_seq_len;
   base.bucket_width = max_seq_len;
-  base.max_wait_us = 1000;
   base.precision = precision;
   serve::MatcherEngine full(matcher, base);
   serve::EngineOptions split_opts = base;

@@ -105,7 +105,6 @@ void RunEngine(core::EntityMatcher* matcher, serve::Precision precision,
   serve::EngineOptions opts;
   opts.precision = precision;
   opts.max_batch_size = 16;
-  opts.max_wait_us = 2000;
   opts.max_seq_len = matcher->eval_max_seq_len();
   opts.queue_capacity = static_cast<int64_t>(pairs.size()) + 16;
   serve::MatcherEngine engine(matcher, opts);

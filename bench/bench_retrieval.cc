@@ -167,7 +167,6 @@ int main(int argc, char** argv) {
   eopts.precision = serve::Precision::kInt8;
   eopts.max_seq_len = 48;
   eopts.max_batch_size = rerank_k;  // one query's re-rank = one micro-batch
-  eopts.max_wait_us = 2000;
   retrieval::CatalogOptions copts;
   copts.retrieve_k = retrieve_k;
   copts.rerank_k = rerank_k;

@@ -37,7 +37,6 @@ namespace {
 struct SweepRow {
   std::string name;
   int64_t batch_size = 0;
-  int64_t max_wait_us = 0;
   int64_t num_workers = 1;
   double pairs_per_sec = 0;
   double p50_us = 0, p95_us = 0, p99_us = 0;
@@ -101,12 +100,10 @@ double BatchedGradFreePairsPerSec(
 }
 
 SweepRow RunEngineConfig(
-    core::EntityMatcher* matcher, int64_t batch_size, int64_t max_wait_us,
-    int64_t num_workers, int64_t client_threads,
+    core::EntityMatcher* matcher, int64_t batch_size, int64_t num_workers, int64_t client_threads,
     const std::vector<std::pair<std::string, std::string>>& pairs) {
   serve::EngineOptions opts;
   opts.max_batch_size = batch_size;
-  opts.max_wait_us = max_wait_us;
   opts.num_workers = num_workers;
   opts.max_seq_len = matcher->eval_max_seq_len();
   opts.queue_capacity = static_cast<int64_t>(pairs.size()) + 16;
@@ -129,10 +126,9 @@ SweepRow RunEngineConfig(
 
   serve::MetricsSnapshot m = engine.Metrics();
   SweepRow row;
-  row.name = "engine_b" + std::to_string(batch_size) + "_w" +
-             std::to_string(max_wait_us) + "_k" + std::to_string(num_workers);
+  row.name = "engine_b" + std::to_string(batch_size) + "_k" +
+             std::to_string(num_workers);
   row.batch_size = batch_size;
-  row.max_wait_us = max_wait_us;
   row.num_workers = num_workers;
   row.pairs_per_sec = static_cast<double>(pairs.size()) / seconds;
   row.p50_us = m.p50_latency_us;
@@ -195,13 +191,13 @@ int main() {
           1, static_cast<int64_t>(std::thread::hardware_concurrency())));
   std::vector<SweepRow> rows;
   for (int64_t batch : {1, 4, 8, 16, 32}) {
-    rows.push_back(RunEngineConfig(&matcher, batch, /*max_wait_us=*/2000,
-                                   /*num_workers=*/1, threads, workload));
+    rows.push_back(RunEngineConfig(&matcher, batch, /*num_workers=*/1,
+                                   threads, workload));
   }
   if (machine_workers > 1) {
     for (int64_t batch : {8, 16, 32}) {
-      rows.push_back(RunEngineConfig(&matcher, batch, /*max_wait_us=*/2000,
-                                     machine_workers, threads, workload));
+      rows.push_back(RunEngineConfig(&matcher, batch, machine_workers,
+                                     threads, workload));
     }
   }
   for (const SweepRow& row : rows) {
@@ -227,13 +223,12 @@ int main() {
     const SweepRow& r = rows[i];
     std::fprintf(out,
                  "    {\"name\": \"%s\", \"max_batch_size\": %lld, "
-                 "\"max_wait_us\": %lld, \"num_workers\": %lld, "
+                 "\"num_workers\": %lld, "
                  "\"pairs_per_sec\": %.2f, "
                  "\"speedup_vs_seed\": %.3f, \"mean_batch_size\": %.2f, "
                  "\"p50_us\": %.1f, \"p95_us\": %.1f, \"p99_us\": %.1f, "
                  "\"cache_hit_rate\": %.3f}%s\n",
                  r.name.c_str(), static_cast<long long>(r.batch_size),
-                 static_cast<long long>(r.max_wait_us),
                  static_cast<long long>(r.num_workers), r.pairs_per_sec,
                  r.pairs_per_sec / taped, r.mean_batch, r.p50_us, r.p95_us,
                  r.p99_us, r.cache_hit_rate,

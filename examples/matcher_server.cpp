@@ -112,7 +112,6 @@ int ServeSocket(
   serve::EngineOptions eopts;
   eopts.precision = precision;
   eopts.max_batch_size = 16;
-  eopts.max_wait_us = 2000;
   eopts.queue_capacity = 1024;
   eopts.max_seq_len = 48;
   eopts.split_layer = split_layer;
@@ -223,7 +222,6 @@ TrafficResult RunTraffic(emx::core::EntityMatcher* matcher,
   serve::EngineOptions opts;
   opts.precision = precision;
   opts.max_batch_size = 16;
-  opts.max_wait_us = 2000;
   opts.queue_capacity = 1024;
   opts.max_seq_len = 48;
   opts.split_layer = split_layer;

@@ -3,7 +3,6 @@
 #include <errno.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <utility>
 #include <vector>
@@ -98,16 +97,12 @@ void MatchServer::PollLoop() {
     // New connections (the listener is non-blocking: accept until drained).
     if (pfds[0].revents & POLLIN) {
       while (true) {
-        const int fd = ::accept(listener_.fd(), nullptr, nullptr);
-        if (fd < 0) break;
-        if (conns_.size() >= options_.max_connections) {
-          ::close(fd);
-          continue;
-        }
-        Socket sock(fd);
-        if (!SetNonBlocking(fd).ok()) continue;  // sock closes it
+        Result<Socket> sock = AcceptTcp(listener_.fd());
+        if (!sock.ok()) break;
+        if (conns_.size() >= options_.max_connections) continue;  // closes it
         accepted_->Add();
-        conns_.emplace(fd, std::make_shared<Conn>(std::move(sock)));
+        const int fd = sock.value().fd();
+        conns_.emplace(fd, std::make_shared<Conn>(std::move(sock).value()));
       }
     }
 
@@ -237,7 +232,7 @@ void MatchServer::CompletionLoop() {
 
     // The engine resolves every accepted request (deadline expiry, queue
     // rejection and shutdown all set the promise), so this get() is
-    // bounded by the engine's own max_wait/deadline machinery.
+    // bounded by the engine's own queue and deadline machinery.
     serve::MatchResult result = p.future.get();
 
     if (options_.artificial_service_us > 0) {

@@ -29,6 +29,18 @@ std::string ErrnoText(const char* syscall_name) {
   return std::string(syscall_name) + ": " + std::strerror(errno);
 }
 
+namespace {
+
+Status SetNoDelay(int fd) {
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) < 0) {
+    return Status::IoError(ErrnoText("setsockopt(TCP_NODELAY)"));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Status SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
@@ -72,6 +84,19 @@ Result<Socket> ListenTcp(uint16_t port, uint16_t* bound_port) {
   return sock;
 }
 
+Result<Socket> AcceptTcp(int listener_fd) {
+  Socket sock(::accept(listener_fd, nullptr, nullptr));
+  if (!sock.valid()) {
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      return Status::Unavailable("accept: no pending connection");
+    }
+    return Status::IoError(ErrnoText("accept"));
+  }
+  EMX_RETURN_IF_ERROR(SetNonBlocking(sock.fd()));
+  EMX_RETURN_IF_ERROR(SetNoDelay(sock.fd()));
+  return sock;
+}
+
 Result<Socket> ConnectTcp(uint16_t port, int timeout_ms) {
   Socket sock(::socket(AF_INET, SOCK_STREAM, 0));
   if (!sock.valid()) return Status::IoError(ErrnoText("socket"));
@@ -110,8 +135,7 @@ Result<Socket> ConnectTcp(uint16_t port, int timeout_ms) {
       ::fcntl(sock.fd(), F_SETFL, flags & ~O_NONBLOCK) < 0) {
     return Status::IoError(ErrnoText("fcntl"));
   }
-  const int one = 1;
-  ::setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  SetNoDelay(sock.fd());  // best effort: without it only latency suffers
   return sock;
 }
 

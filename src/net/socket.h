@@ -61,6 +61,13 @@ std::string ErrnoText(const char* syscall_name);
 /// `*bound_port` either way. The listener fd is non-blocking.
 Result<Socket> ListenTcp(uint16_t port, uint16_t* bound_port);
 
+/// Accepts one pending connection on the non-blocking `listener_fd`. The
+/// returned socket is non-blocking with TCP_NODELAY set, so a small
+/// response written while an earlier one is still unacknowledged leaves at
+/// once instead of waiting on the peer's delayed ACK. Fails with
+/// Unavailable when nothing is pending (EAGAIN), IoError otherwise.
+Result<Socket> AcceptTcp(int listener_fd);
+
 /// Connects to 127.0.0.1:`port` (blocking, with `timeout_ms` on the
 /// connect itself). The returned socket is blocking with TCP_NODELAY set.
 Result<Socket> ConnectTcp(uint16_t port, int timeout_ms = 5000);

@@ -117,8 +117,6 @@ Result<std::vector<CatalogMatch>> CatalogMatcher::FindMatches(
            {"rerank", rerank}});
     });
     const auto start = std::chrono::steady_clock::now();
-    std::vector<std::future<serve::MatchResult>> futures;
-    futures.reserve(static_cast<size_t>(rerank));
     // Pin the query once: it is tokenized a single time and, on a
     // split-serving engine, its layer-k prefix is encoded once per
     // truncation length instead of once per candidate.
@@ -135,10 +133,11 @@ Result<std::vector<CatalogMatch>> CatalogMatcher::FindMatches(
         texts.push_back(id < texts_.size() ? texts_[id] : std::string());
       }
     }
-    for (int64_t i = 0; i < rerank; ++i) {
-      futures.push_back(engine_->SubmitAgainst(
-          pinned, texts[static_cast<size_t>(i)], options_.rerank_timeout_us));
-    }
+    // One group submission: the engine enqueues every candidate at once,
+    // so an idle worker re-ranks them as one batch instead of starting on
+    // the first candidate alone.
+    std::vector<std::future<serve::MatchResult>> futures =
+        engine_->SubmitAgainst(pinned, texts, options_.rerank_timeout_us);
     for (int64_t i = 0; i < rerank; ++i) {
       serve::MatchResult r = futures[static_cast<size_t>(i)].get();
       if (!r.status.ok()) {

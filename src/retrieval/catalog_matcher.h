@@ -27,7 +27,7 @@ struct CatalogOptions {
   int64_t rerank_k = 16;
   /// Matches returned per query, probability-descending.
   int64_t top_k = 5;
-  /// Deadline forwarded to each re-rank Submit (µs; 0 = engine default).
+  /// Deadline of each re-rank request (µs; 0 = none).
   int64_t rerank_timeout_us = 0;
   /// When > 0 and the engine serves through the split-encoder prefix cache,
   /// every ingested record's candidate-side prefix is pre-encoded at Add /

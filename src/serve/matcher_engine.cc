@@ -57,10 +57,6 @@ Status ValidateEngineOptions(const EngineOptions& options) {
     return Status::InvalidArgument("max_batch_size must be positive, got " +
                                    std::to_string(options.max_batch_size));
   }
-  if (options.max_wait_us <= 0) {
-    return Status::InvalidArgument("max_wait_us must be positive, got " +
-                                   std::to_string(options.max_wait_us));
-  }
   if (options.queue_capacity <= 0) {
     return Status::InvalidArgument("queue_capacity must be positive, got " +
                                    std::to_string(options.queue_capacity));
@@ -188,49 +184,11 @@ std::future<MatchResult> MatcherEngine::Submit(std::string text_a,
 std::future<MatchResult> MatcherEngine::Submit(std::string text_a,
                                                std::string text_b,
                                                int64_t timeout_us) {
-  if (split_enabled()) {
-    // Every request takes the split path when it is enabled, so batches
-    // stay homogeneous. The query side is tokenized through the entity
-    // cache (hot queries converge with PinQuery's behavior).
-    auto state = std::make_shared<PinnedQuery::State>();
-    state->text = std::move(text_a);
-    if (!ShutdownSeen()) state->ids = *entity_tokens_.Get(state->text);
-    return SubmitSplit(std::move(state), text_b, timeout_us);
-  }
-  Request req;
-  req.enqueued = Clock::now();
-  req.deadline = timeout_us > 0
-                     ? req.enqueued + std::chrono::microseconds(timeout_us)
-                     : Clock::time_point::max();
-  std::future<MatchResult> fut = req.promise.get_future();
-
-  {
-    // Fail fast before paying for tokenization.
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) {
-      MatchResult r;
-      r.status = Status::Unavailable("engine is shut down");
-      req.promise.set_value(std::move(r));
-      return fut;
-    }
-  }
-
-  bool hit = false;
-  {
-    EMX_TRACE_SPAN("serve.tokenize");
-    req.enc = cache_.Get(text_a, text_b, &hit);
-  }
-  req.cache_hit = hit;
-  metrics_.RecordCacheLookup(hit);
-  metrics_.RecordTokenCacheBytes(cache_.resident_bytes() +
-                                 entity_tokens_.resident_bytes());
-  req.model = CurrentModel();
-  req.bucket =
-      std::max<int64_t>(1, (req.enc.length + options_.bucket_width - 1) /
-                               options_.bucket_width) +
-      static_cast<int64_t>(req.model->version) * kVersionBucketStride;
-  EnqueueOrReject(std::move(req));
-  return fut;
+  // A one-off pin. On the split path it tokenizes the query side through
+  // the entity cache, and every request, pinned or not, takes the split
+  // forward so batches stay homogeneous.
+  return SubmitAgainst(PinQuery(std::move(text_a)), std::move(text_b),
+                       timeout_us);
 }
 
 bool MatcherEngine::ShutdownSeen() const {
@@ -238,26 +196,38 @@ bool MatcherEngine::ShutdownSeen() const {
   return shutdown_;
 }
 
-void MatcherEngine::EnqueueOrReject(Request req) {
+MatcherEngine::Request MatcherEngine::NewRequest(int64_t timeout_us) {
+  Request req;
+  req.enqueued = Clock::now();
+  req.deadline = timeout_us > 0
+                     ? req.enqueued + std::chrono::microseconds(timeout_us)
+                     : Clock::time_point::max();
+  return req;
+}
+
+void MatcherEngine::EnqueueOrReject(std::span<Request> reqs) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (shutdown_) {
+  bool queued = false;
+  for (Request& req : reqs) {
     MatchResult r;
-    r.status = Status::Unavailable("engine is shut down");
+    if (shutdown_) {
+      r.status = Status::Unavailable("engine is shut down");
+    } else if (static_cast<int64_t>(queue_.size()) >=
+               options_.queue_capacity) {
+      metrics_.RecordRejected();
+      r.status = Status::ResourceExhausted("request queue is full");
+    } else {
+      queue_.push_back(std::move(req));
+      metrics_.RecordSubmitted(static_cast<int64_t>(queue_.size()));
+      queued = true;
+      continue;
+    }
     r.cache_hit = req.cache_hit;
     r.prefix_hit_query = req.prefix_hit_q;
     r.prefix_hit_candidate = req.prefix_hit_c;
     req.promise.set_value(std::move(r));
-  } else if (static_cast<int64_t>(queue_.size()) >= options_.queue_capacity) {
-    metrics_.RecordRejected();
-    MatchResult r;
-    r.status = Status::ResourceExhausted("request queue is full");
-    r.cache_hit = req.cache_hit;
-    r.prefix_hit_query = req.prefix_hit_q;
-    r.prefix_hit_candidate = req.prefix_hit_c;
-    req.promise.set_value(std::move(r));
-  } else {
-    queue_.push_back(std::move(req));
-    metrics_.RecordSubmitted(static_cast<int64_t>(queue_.size()));
+  }
+  if (queued) {
     obs::TraceCounterValue("serve.queue_depth",
                            static_cast<double>(queue_.size()));
     work_cv_.notify_all();
@@ -289,70 +259,73 @@ std::future<MatchResult> MatcherEngine::SubmitAgainst(const PinnedQuery& query,
 std::future<MatchResult> MatcherEngine::SubmitAgainst(const PinnedQuery& query,
                                                       std::string candidate,
                                                       int64_t timeout_us) {
-  EMX_CHECK(query.valid()) << "SubmitAgainst needs a PinnedQuery from "
-                              "PinQuery, not a default-constructed one";
-  if (!split_enabled()) {
-    return Submit(query.state_->text, std::move(candidate), timeout_us);
-  }
-  return SubmitSplit(query.state_, candidate, timeout_us);
+  return std::move(
+      SubmitAgainst(query, std::span<const std::string>(&candidate, 1),
+                    timeout_us)
+          .front());
 }
 
-std::future<MatchResult> MatcherEngine::SubmitSplit(
-    const std::shared_ptr<const PinnedQuery::State>& query,
-    std::string_view candidate, int64_t timeout_us) {
-  Request req;
-  req.enqueued = Clock::now();
-  req.deadline = timeout_us > 0
-                     ? req.enqueued + std::chrono::microseconds(timeout_us)
-                     : Clock::time_point::max();
-  std::future<MatchResult> fut = req.promise.get_future();
-
-  {
-    // Fail fast before paying for tokenization / prefix encoding.
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) {
-      MatchResult r;
-      r.status = Status::Unavailable("engine is shut down");
-      req.promise.set_value(std::move(r));
-      return fut;
-    }
+std::vector<std::future<MatchResult>> MatcherEngine::SubmitAgainst(
+    const PinnedQuery& query, std::span<const std::string> candidates,
+    int64_t timeout_us) {
+  EMX_CHECK(query.valid()) << "SubmitAgainst needs a PinnedQuery from "
+                              "PinQuery, not a default-constructed one";
+  std::vector<Request> reqs;
+  std::vector<std::future<MatchResult>> futures;
+  reqs.reserve(candidates.size());
+  futures.reserve(candidates.size());
+  // Fail fast before paying for tokenization / prefix encoding; shutdown is
+  // sticky, so EnqueueOrReject then answers every request Unavailable.
+  const bool live = !ShutdownSeen();
+  for (const std::string& candidate : candidates) {
+    reqs.push_back(NewRequest(timeout_us));
+    futures.push_back(reqs.back().promise.get_future());
+    if (live) Prepare(*query.state_, candidate, &reqs.back());
   }
+  EnqueueOrReject(reqs);
+  return futures;
+}
 
-  bool tok_hit = false;
-  std::shared_ptr<const std::vector<int64_t>> c_ids;
-  {
-    EMX_TRACE_SPAN("serve.tokenize");
-    c_ids = entity_tokens_.Get(candidate, &tok_hit);
-  }
-  req.cache_hit = tok_hit;
-  metrics_.RecordCacheLookup(tok_hit);
-  metrics_.RecordTokenCacheBytes(cache_.resident_bytes() +
-                                 entity_tokens_.resident_bytes());
-
-  // Longest-first truncation over the raw entity tokens — the exact
-  // discipline EncodePair applies, so the concatenated layout (and with it
-  // the k = 0 logits) matches the pair path token for token.
-  std::vector<int64_t> a = query->ids;
-  std::vector<int64_t> b = *c_ids;
-  tokenizers::TruncatePair(&a, &b, options_.max_seq_len - 3);
-  req.len_q = static_cast<int64_t>(a.size()) + 2;  // [CLS] a [SEP]
-  req.len_c = static_cast<int64_t>(b.size()) + 1;  // b [SEP]
-
-  // One snapshot covers both prefixes and the upper-layer forward, so a
+void MatcherEngine::Prepare(const PinnedQuery::State& query,
+                            std::string_view candidate, Request* req) {
+  // One snapshot covers the prefixes and the upper-layer forward, so a
   // swap landing mid-submit cannot feed version-N prefixes into version-
   // N+1 cross-attention layers.
-  req.model = CurrentModel();
-  req.prefix_q = PrefixFor(*req.model, query->text, a, /*query_side=*/true,
-                           /*position_offset=*/0, &req.prefix_hit_q);
-  req.prefix_c = PrefixFor(*req.model, candidate, b, /*query_side=*/false,
-                           /*position_offset=*/req.len_q, &req.prefix_hit_c);
-
-  req.bucket =
-      std::max<int64_t>(1, (req.len_q + req.len_c + options_.bucket_width - 1) /
+  req->model = CurrentModel();
+  int64_t length = 0;
+  if (!split_enabled()) {
+    EMX_TRACE_SPAN("serve.tokenize");
+    req->enc = cache_.Get(query.text, candidate, &req->cache_hit);
+    length = req->enc.length;
+  } else {
+    std::shared_ptr<const std::vector<int64_t>> c_ids;
+    {
+      EMX_TRACE_SPAN("serve.tokenize");
+      c_ids = entity_tokens_.Get(candidate, &req->cache_hit);
+    }
+    // Longest-first truncation over the raw entity tokens — the exact
+    // discipline EncodePair applies, so the concatenated layout (and with
+    // it the k = 0 logits) matches the pair path token for token.
+    std::vector<int64_t> a = query.ids;
+    std::vector<int64_t> b = *c_ids;
+    tokenizers::TruncatePair(&a, &b, options_.max_seq_len - 3);
+    req->len_q = static_cast<int64_t>(a.size()) + 2;  // [CLS] a [SEP]
+    req->len_c = static_cast<int64_t>(b.size()) + 1;  // b [SEP]
+    req->prefix_q = PrefixFor(*req->model, query.text, a, /*query_side=*/true,
+                              /*position_offset=*/0, &req->prefix_hit_q);
+    req->prefix_c = PrefixFor(*req->model, candidate, b,
+                              /*query_side=*/false,
+                              /*position_offset=*/req->len_q,
+                              &req->prefix_hit_c);
+    length = req->len_q + req->len_c;
+  }
+  metrics_.RecordCacheLookup(req->cache_hit);
+  metrics_.RecordTokenCacheBytes(cache_.resident_bytes() +
+                                 entity_tokens_.resident_bytes());
+  req->bucket =
+      std::max<int64_t>(1, (length + options_.bucket_width - 1) /
                                options_.bucket_width) +
-      static_cast<int64_t>(req.model->version) * kVersionBucketStride;
-  EnqueueOrReject(std::move(req));
-  return fut;
+      static_cast<int64_t>(req->model->version) * kVersionBucketStride;
 }
 
 std::shared_ptr<const Tensor> MatcherEngine::PrefixFor(
@@ -567,35 +540,22 @@ void MatcherEngine::WorkerLoop(uint64_t worker_id) {
     work_cv_.wait(lock, [&] {
       return shutdown_ || (!paused_ && !queue_.empty());
     });
-    const Clock::time_point now = Clock::now();
-    // Shutdown overrides pause: queued work is drained either way.
-    if (!paused_ || shutdown_) ExpireQueuedLocked(now);
+    // The wait admits a paused engine only at shutdown, which overrides
+    // pause: queued work is drained either way.
+    ExpireQueuedLocked(Clock::now());
     if (queue_.empty()) {
       if (shutdown_) return;
       continue;
     }
 
-    // The oldest request defines the bucket to serve and the flush clock.
+    // Work-conserving: the oldest request defines the bucket, and the
+    // batch is whatever of that bucket is queued right now. Nothing waits
+    // for peers; batches grow under load because requests queue while
+    // every worker is busy in a forward.
     const int64_t bucket = queue_.front().bucket;
-    const Clock::time_point flush_at =
-        queue_.front().enqueued +
-        std::chrono::microseconds(options_.max_wait_us);
-    int64_t in_bucket = 0;
-    for (const Request& r : queue_) {
-      if (r.bucket == bucket && ++in_bucket >= options_.max_batch_size) break;
-    }
-
-    if (!shutdown_ && in_bucket < options_.max_batch_size && now < flush_at) {
-      // Not full and not due: sleep until the flush deadline or the next
-      // per-request deadline, whichever comes first (or a new submission).
-      Clock::time_point wake = flush_at;
-      for (const Request& r : queue_) wake = std::min(wake, r.deadline);
-      work_cv_.wait_until(lock, wake);
-      continue;
-    }
-
     std::vector<Request> batch;
-    batch.reserve(static_cast<size_t>(in_bucket));
+    batch.reserve(static_cast<size_t>(std::min<int64_t>(
+        options_.max_batch_size, static_cast<int64_t>(queue_.size()))));
     for (auto it = queue_.begin();
          it != queue_.end() &&
          static_cast<int64_t>(batch.size()) < options_.max_batch_size;) {

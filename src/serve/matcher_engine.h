@@ -9,6 +9,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -36,11 +37,11 @@ enum class Precision {
 
 /// Tuning knobs for the serving engine.
 struct EngineOptions {
-  /// Flush a micro-batch as soon as this many same-bucket requests are
-  /// queued...
+  /// Upper bound on a micro-batch. A free worker at once takes up to this
+  /// many queued requests of the oldest request's length bucket; it never
+  /// waits for a batch to fill, so batches grow only from requests that
+  /// queued while every worker was busy.
   int64_t max_batch_size = 16;
-  /// ...or as soon as the oldest queued request has waited this long.
-  int64_t max_wait_us = 2000;
   /// Submissions beyond this bound are rejected with ResourceExhausted.
   int64_t queue_capacity = 1024;
   /// Token budget per pair (requests are truncated/padded like the
@@ -88,7 +89,7 @@ struct EngineOptions {
 int64_t DefaultSplitLayer(int64_t num_layers);
 
 /// Checks every EngineOptions field at construction time: non-positive
-/// queue capacity, worker count, batch size, wait, bucket width or seq-len
+/// queue capacity, worker count, batch size, bucket width or seq-len
 /// budget, and negative cache capacity or default deadline all come back
 /// as InvalidArgument naming the offending field — instead of a worker
 /// that spins, a queue that rejects everything, or a divide-by-zero deep
@@ -144,10 +145,11 @@ class PinnedQuery {
 /// checkpoint-loaded) EntityMatcher.
 ///
 /// Pipeline: Submit() tokenizes on the caller thread through the LRU cache,
-/// length-buckets the request and enqueues it (bounded). A single batching
-/// worker groups the oldest request with its bucket peers, flushes on
-/// batch-size or max-wait, runs one NoGradGuard forward per micro-batch
-/// padded only to the bucket top, and fulfills the per-request futures.
+/// length-buckets the request and enqueues it (bounded). A free batching
+/// worker immediately takes the oldest request with up to max_batch_size - 1
+/// of its queued bucket peers (it never idles on a partial batch), runs one
+/// NoGradGuard forward per micro-batch padded only to the bucket top, and
+/// fulfills the per-request futures.
 /// Metrics (throughput, latency percentiles, queue depth, batch-size
 /// histogram, cache hit rate) are snapshotable as JSON at any time.
 ///
@@ -196,6 +198,15 @@ class MatcherEngine {
   std::future<MatchResult> SubmitAgainst(const PinnedQuery& query,
                                          std::string candidate,
                                          int64_t timeout_us);
+  /// Re-ranks many candidates against one pinned query: every request is
+  /// prepared first (tokenization, prefixes) and then all are enqueued
+  /// under one lock with one worker wake-up, so an idle worker sees the
+  /// whole group instead of serving the first candidate alone. Each request
+  /// gets its own deadline, `timeout_us` from the start of its preparation
+  /// (0 = none). Futures come back in candidate order.
+  std::vector<std::future<MatchResult>> SubmitAgainst(
+      const PinnedQuery& query, std::span<const std::string> candidates,
+      int64_t timeout_us);
 
   /// Pre-encodes the candidate-side layer-k prefix for `text`, assuming the
   /// query side will occupy `query_segment_len` tokens (CLS + query + SEP).
@@ -232,7 +243,7 @@ class MatcherEngine {
   void Pause();
   void Resume();
 
-  /// Drains the queue (without waiting out max_wait) and stops the worker.
+  /// Serves what is still queued, then stops the workers.
   /// Subsequent Submit calls fail with Unavailable. Idempotent; also run
   /// by the destructor.
   void Shutdown();
@@ -284,9 +295,18 @@ class MatcherEngine {
   /// Completes every queued request whose deadline has passed. Caller holds
   /// `mu_`; promises are fulfilled after collecting, outside the queue scan.
   void ExpireQueuedLocked(Clock::time_point now);
-  /// Takes the queue lock and either enqueues the prepared request or
-  /// fulfills its promise with Unavailable / ResourceExhausted.
-  void EnqueueOrReject(Request req);
+  /// A request stamped with its submit time and deadline (µs from now;
+  /// 0 = none), not yet prepared.
+  static Request NewRequest(int64_t timeout_us);
+  /// Caller-thread preparation of (query, candidate): tokenization through
+  /// the caches and the length bucket; on the split path also truncation
+  /// and both layer-k prefixes (encoding misses here).
+  void Prepare(const PinnedQuery::State& query, std::string_view candidate,
+               Request* req);
+  /// The only way into the queue: takes the lock once, enqueues each
+  /// prepared request or fulfills its promise with Unavailable (shut down)
+  /// / ResourceExhausted (queue full), and wakes the workers once.
+  void EnqueueOrReject(std::span<Request> reqs);
   bool ShutdownSeen() const;
   /// Runs one micro-batch (no lock held): bucket-padded batch build,
   /// grad-free forward, promise fulfillment.
@@ -295,12 +315,6 @@ class MatcherEngine {
   /// runs layers [split_layer, L) plus the head.
   void RunBatchSplit(std::vector<Request> batch, Rng* rng);
 
-  /// Shared split submission tail: truncates the pair, resolves both
-  /// prefixes through the activation cache (encoding misses on the caller
-  /// thread), and enqueues.
-  std::future<MatchResult> SubmitSplit(
-      const std::shared_ptr<const PinnedQuery::State>& query,
-      std::string_view candidate, int64_t timeout_us);
   /// Returns the layer-k prefix for one entity segment under `model`,
   /// consulting the activation cache (keys are version-tagged) and
   /// encoding on miss. `ids` are the truncated raw entity tokens (no

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/socket.h>
+
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -215,6 +221,34 @@ TEST(WireTest, TrailingBytesRejected) {
   ASSERT_TRUE(buf.Next(&payload, &complete).ok());
   ASSERT_TRUE(complete);
   EXPECT_FALSE(DecodeRequest(payload).ok());
+}
+
+// ---- Sockets ----------------------------------------------------------------
+
+TEST(SocketTest, AcceptedConnectionIsNonBlockingWithNoDelay) {
+  uint16_t port = 0;
+  Result<Socket> listener = ListenTcp(0, &port);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  const int listen_fd = listener.value().fd();
+  // Nothing pending yet: the non-blocking listener says so instead of
+  // blocking.
+  EXPECT_EQ(AcceptTcp(listen_fd).status().code(), StatusCode::kUnavailable);
+
+  Result<Socket> client = ConnectTcp(port);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  pollfd pfd{listen_fd, POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 5000), 1);
+  Result<Socket> accepted = AcceptTcp(listen_fd);
+  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+
+  // Both ends of a shard connection push small frames out at once.
+  for (int fd : {accepted.value().fd(), client.value().fd()}) {
+    int nodelay = 0;
+    socklen_t len = sizeof(nodelay);
+    ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+    EXPECT_EQ(nodelay, 1) << "fd " << fd;
+  }
+  EXPECT_NE(::fcntl(accepted.value().fd(), F_GETFL, 0) & O_NONBLOCK, 0);
 }
 
 // ---- Synthetic shard backend for router unit tests -------------------------
@@ -567,7 +601,6 @@ class NetServerFixture : public ::testing::Test {
     serve::EngineOptions opts;
     opts.max_seq_len = kSeqLen;
     opts.bucket_width = kSeqLen;
-    opts.max_wait_us = 2000;
     return opts;
   }
 

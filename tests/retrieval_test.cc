@@ -667,6 +667,29 @@ TEST_F(CatalogMatcherTest, FindMatchesIsSortedCountsAndTraced) {
   EXPECT_NE(json.find("catalog.rerank_us"), std::string::npos);
 }
 
+TEST_F(CatalogMatcherTest, FindMatchesRerankIsOneEngineBatch) {
+  // bucket_width = max_seq_len puts every candidate in one length bucket,
+  // and max_batch_size covers rerank_k, so the group submission reaches an
+  // idle worker whole: one query, one engine batch.
+  serve::MatcherEngine engine(Matcher(), EngineOpts());
+  CatalogOptions copts;
+  copts.retrieve_k = 6;
+  copts.rerank_k = 6;
+  ASSERT_LE(copts.rerank_k, engine.options().max_batch_size);
+  CatalogMatcher catalog(&engine, copts);
+  catalog.AddBatch({"acer zen zx55 laptop silver 128 gb",
+                    "acer zen zx56 laptop black 64 gb",
+                    "acer aspire 5 laptop silver", "acer nitro 5 laptop",
+                    "acer swift 3 laptop 512 gb", "acer chromebook 314"});
+
+  auto matches = catalog.FindMatches("acer zx55 laptop silver");
+  ASSERT_TRUE(matches.ok()) << matches.status().ToString();
+  const serve::MetricsSnapshot m = engine.Metrics();
+  EXPECT_EQ(m.submitted, 6);
+  EXPECT_EQ(m.completed, 6);
+  EXPECT_EQ(m.batches, 1);
+}
+
 TEST_F(CatalogMatcherTest, SaveLoadPreservesResults) {
   const std::string path = "/tmp/emx_retrieval_test_catalog.bin";
   serve::MatcherEngine engine(Matcher(), EngineOpts());

@@ -74,7 +74,7 @@ class ServeFixture : public ::testing::Test {
 TEST_F(ServeFixture, FlushesWhenBatchFills) {
   EngineOptions opts = BaseOptions();
   opts.max_batch_size = 4;
-  opts.max_wait_us = 10'000'000;  // would stall for 10s without a size flush
+  opts.start_paused = true;  // let all four queue before a worker looks
   MatcherEngine engine(Matcher(), opts);
 
   std::vector<std::future<MatchResult>> futures;
@@ -82,6 +82,7 @@ TEST_F(ServeFixture, FlushesWhenBatchFills) {
     futures.push_back(engine.Submit("acer laptop model " + std::to_string(i),
                                     "acer notebook model " + std::to_string(i)));
   }
+  engine.Resume();
   for (auto& f : futures) {
     ASSERT_EQ(f.wait_for(std::chrono::seconds(5)), std::future_status::ready);
     MatchResult r = f.get();
@@ -93,10 +94,9 @@ TEST_F(ServeFixture, FlushesWhenBatchFills) {
   EXPECT_EQ(engine.Metrics().batches, 1);
 }
 
-TEST_F(ServeFixture, FlushesOnMaxWaitDeadline) {
+TEST_F(ServeFixture, LoneRequestIsServedWithoutWaitingForPeers) {
   EngineOptions opts = BaseOptions();
-  opts.max_batch_size = 16;   // never fills
-  opts.max_wait_us = 20'000;  // 20ms
+  opts.max_batch_size = 16;  // never fills
   MatcherEngine engine(Matcher(), opts);
 
   auto fut = engine.Submit("lone request", "with no batch peers");
@@ -104,15 +104,72 @@ TEST_F(ServeFixture, FlushesOnMaxWaitDeadline) {
   MatchResult r = fut.get();
   EXPECT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.batch_size, 1);
-  // It waited for peers before flushing.
-  EXPECT_GE(r.total_us, static_cast<double>(opts.max_wait_us) * 0.5);
+  // An idle worker starts on it at once instead of holding it for peers.
+  // The bound is generous for loaded CI hosts; a 20 ms batching wait could
+  // not meet it.
+  EXPECT_LT(r.queue_us, 20'000.0);
+}
+
+TEST_F(ServeFixture, GroupSubmitAgainstIsOneBatchOnAnIdleEngine) {
+  const std::vector<std::string> candidates = {
+      "sony wh1000xm5 noise cancelling headphones", "sony wf-1000xm4 earbuds",
+      "anker soundcore q30", "bose quietcomfort 45", "apple airpods max"};
+  const int64_t n = static_cast<int64_t>(candidates.size());
+  for (int64_t split_layer : {int64_t{-1}, int64_t{0}}) {
+    SCOPED_TRACE("split_layer " + std::to_string(split_layer));
+    EngineOptions opts = BaseOptions();
+    opts.split_layer = split_layer;
+    MatcherEngine engine(Matcher(), opts);
+
+    const PinnedQuery pinned =
+        engine.PinQuery("sony wh-1000xm5 wireless headphones");
+    std::vector<std::future<MatchResult>> futures =
+        engine.SubmitAgainst(pinned, candidates, /*timeout_us=*/0);
+    ASSERT_EQ(static_cast<int64_t>(futures.size()), n);
+    for (int64_t i = 0; i < n; ++i) {
+      MatchResult r = futures[static_cast<size_t>(i)].get();
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+      EXPECT_EQ(r.batch_size, n);
+      // Futures come back in candidate order.
+      EXPECT_NEAR(r.probability,
+                  Matcher()->MatchProbability(
+                      pinned.text(), candidates[static_cast<size_t>(i)]),
+                  1e-5)
+          << "candidate " << i;
+    }
+    EXPECT_EQ(engine.Metrics().batches, 1);
+  }
+}
+
+TEST_F(ServeFixture, GroupSubmitAgainstRejectsPastQueueCapacity) {
+  EngineOptions opts = BaseOptions();
+  opts.queue_capacity = 2;
+  opts.start_paused = true;
+  MatcherEngine engine(Matcher(), opts);
+
+  const PinnedQuery pinned = engine.PinQuery("nikon z6 ii body");
+  const std::vector<std::string> candidates = {
+      "nikon z6ii mirrorless camera", "nikon z7 ii", "canon eos r6"};
+  std::vector<std::future<MatchResult>> futures =
+      engine.SubmitAgainst(pinned, candidates, /*timeout_us=*/0);
+  ASSERT_EQ(futures[2].wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_EQ(futures[2].get().status.code(), StatusCode::kResourceExhausted);
+  engine.Resume();
+  EXPECT_TRUE(futures[0].get().status.ok());
+  EXPECT_TRUE(futures[1].get().status.ok());
+  EXPECT_EQ(engine.Metrics().rejected, 1);
+
+  engine.Shutdown();
+  for (auto& f : engine.SubmitAgainst(pinned, candidates, /*timeout_us=*/0)) {
+    EXPECT_EQ(f.get().status.code(), StatusCode::kUnavailable);
+  }
 }
 
 TEST_F(ServeFixture, LengthBucketsAreServedSeparately) {
   EngineOptions opts = BaseOptions();
   opts.bucket_width = 8;
   opts.max_batch_size = 2;
-  opts.max_wait_us = 20'000;
   MatcherEngine engine(Matcher(), opts);
 
   // Two short pairs (bucket ~1) and two long pairs (higher bucket).
@@ -185,7 +242,7 @@ TEST_F(ServeFixture, SubmitAfterShutdownIsUnavailable) {
 TEST_F(ServeFixture, ShutdownDrainsQueuedRequests) {
   EngineOptions opts = BaseOptions();
   opts.max_batch_size = 16;
-  opts.max_wait_us = 10'000'000;  // drain must not wait this out
+  opts.start_paused = true;  // both are still queued when Shutdown runs
   MatcherEngine engine(Matcher(), opts);
   auto f1 = engine.Submit("queued a", "queued b");
   auto f2 = engine.Submit("queued c", "queued d");
@@ -254,7 +311,6 @@ TEST_F(ServeFixture, TokenCacheZeroCapacityDisablesCaching) {
 TEST_F(ServeFixture, EngineWithCacheDisabledStillServes) {
   EngineOptions opts = BaseOptions();
   opts.cache_capacity = 0;
-  opts.max_wait_us = 1000;
   MatcherEngine engine(Matcher(), opts);
   EXPECT_TRUE(engine.Match("pixel 7", "google pixel 7").status.ok());
   EXPECT_TRUE(engine.Match("pixel 7", "google pixel 7").status.ok());
@@ -278,7 +334,6 @@ TEST_F(ServeFixture, CachedEncodingMatchesDirectTokenization) {
 
 TEST_F(ServeFixture, EngineReportsCacheHits) {
   EngineOptions opts = BaseOptions();
-  opts.max_wait_us = 1000;
   MatcherEngine engine(Matcher(), opts);
   MatchResult first = engine.Match("iphone 12", "apple iphone 12");
   MatchResult second = engine.Match("iphone 12", "apple iphone 12");
@@ -327,7 +382,6 @@ TEST_F(ServeFixture, MultiWorkerResultsMatchSingleWorker) {
   EngineOptions opts = BaseOptions();
   opts.num_workers = 2;
   opts.max_batch_size = 4;
-  opts.max_wait_us = 500;
   MatcherEngine engine(Matcher(), opts);
   std::vector<std::future<MatchResult>> futures;
   for (size_t i = 0; i < as.size(); ++i) {
@@ -342,7 +396,6 @@ TEST_F(ServeFixture, MultiWorkerResultsMatchSingleWorker) {
 
 TEST_F(ServeFixture, EngineProbabilityMatchesDirectMatchProbability) {
   EngineOptions opts = BaseOptions();
-  opts.max_wait_us = 1000;
   MatcherEngine engine(Matcher(), opts);
   const std::string a = "canon eos r6 mirrorless camera body";
   const std::string b = "canon r6 mirrorless digital camera";
@@ -420,7 +473,6 @@ TEST_F(ServeFixture, Int8EngineMatchesDirectQuantizedPath) {
   opts.precision = Precision::kInt8;
   opts.num_workers = 2;  // concurrent int8 forwards on shared packed weights
   opts.max_batch_size = 4;
-  opts.max_wait_us = 500;
   MatcherEngine engine(&matcher, opts);
   std::vector<std::future<MatchResult>> futures;
   for (size_t i = 0; i < as.size(); ++i) {
@@ -494,7 +546,6 @@ TEST(PercentileTest, LinearInterpolationOnSmallSamples) {
 
 TEST_F(ServeFixture, MetricsJsonCarriesServingCounters) {
   EngineOptions opts = BaseOptions();
-  opts.max_wait_us = 1000;
   MatcherEngine engine(Matcher(), opts);
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(engine.Match("pixel 6 pro", "google pixel 6").status.ok());
@@ -668,7 +719,6 @@ TEST(ServingMetricsTest, RegistryMigrationPreservesCounterMeaning) {
 TEST_F(ServeFixture, ConcurrentSubmittersHammer) {
   EngineOptions opts = BaseOptions();
   opts.max_batch_size = 8;
-  opts.max_wait_us = 500;
   opts.queue_capacity = 4096;
   opts.cache_capacity = 64;
   opts.num_workers = 2;  // concurrent grad-free forwards on shared weights
@@ -716,7 +766,6 @@ TEST_F(ServeFixture, SplitK0BitIdenticalToFullPathFp32) {
   // not approximately — because masked attention contributes exactly zero
   // from blocked keys and the GEMMs are row-independent.
   EngineOptions plain = BaseOptions();
-  plain.max_wait_us = 1000;
   MatcherEngine full(Matcher(), plain);
 
   EngineOptions split_opts = plain;
@@ -751,7 +800,6 @@ TEST_F(ServeFixture, SplitDefaultLayerBitIdenticalWhenPrefixCached) {
   // *self*-consistent: cached and recomputed prefixes give identical
   // logits, and the same pair always scores the same.
   EngineOptions opts = BaseOptions();
-  opts.max_wait_us = 1000;
   opts.split_layer = DefaultSplitLayer(
       Matcher()->classifier()->config().num_layers);
   EXPECT_EQ(opts.split_layer, 1);  // scaled BERT is 2 layers
@@ -784,7 +832,6 @@ TEST_F(ServeFixture, SplitK0BitIdenticalInt8) {
   ASSERT_TRUE(quant::QuantizeMatcher(&matcher, calib).ok());
 
   EngineOptions plain = BaseOptions();
-  plain.max_wait_us = 1000;
   plain.precision = Precision::kInt8;
   MatcherEngine full(&matcher, plain);
   EngineOptions split_opts = plain;
@@ -806,7 +853,6 @@ TEST_F(ServeFixture, SplitK0BitIdenticalInt8) {
 
 TEST_F(ServeFixture, SubmitAgainstReusesPinnedQueryPrefix) {
   EngineOptions opts = BaseOptions();
-  opts.max_wait_us = 1000;
   opts.split_layer = 0;
   MatcherEngine engine(Matcher(), opts);
 
@@ -837,7 +883,6 @@ TEST_F(ServeFixture, SubmitAgainstReusesPinnedQueryPrefix) {
 
 TEST_F(ServeFixture, WarmCandidateMakesFirstRequestHit) {
   EngineOptions opts = BaseOptions();
-  opts.max_wait_us = 1000;
   opts.split_layer = 1;
   MatcherEngine engine(Matcher(), opts);
 
@@ -856,7 +901,6 @@ TEST_F(ServeFixture, WarmCandidateMakesFirstRequestHit) {
 
 TEST_F(ServeFixture, SplitMetricsJsonCarriesPrefixCounters) {
   EngineOptions opts = BaseOptions();
-  opts.max_wait_us = 1000;
   opts.split_layer = 0;
   MatcherEngine engine(Matcher(), opts);
   ASSERT_TRUE(engine.Match("fitbit charge 6", "fitbit charge6 tracker")
@@ -930,7 +974,6 @@ TEST_F(ServeFixture, SplitConcurrentHammer) {
   // Runs in the CI thread-sanitizer job like ConcurrentSubmittersHammer.
   EngineOptions opts = BaseOptions();
   opts.max_batch_size = 8;
-  opts.max_wait_us = 500;
   opts.queue_capacity = 4096;
   opts.num_workers = 2;
   opts.split_layer = 1;
@@ -1010,14 +1053,6 @@ TEST(ValidateEngineOptionsTest, RejectsNonPositiveMaxBatchSize) {
       << st.ToString();
   opts.max_batch_size = -4;
   EXPECT_FALSE(ValidateEngineOptions(opts).ok());
-}
-
-TEST(ValidateEngineOptionsTest, RejectsNonPositiveMaxWait) {
-  EngineOptions opts;
-  opts.max_wait_us = 0;
-  Status st = ValidateEngineOptions(opts);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(st.ToString().find("max_wait_us"), std::string::npos);
 }
 
 TEST(ValidateEngineOptionsTest, RejectsNonPositiveQueueCapacity) {
@@ -1174,7 +1209,6 @@ TEST_F(ServeFixture, ConcurrentSwapHammerDropsNoRequests) {
   // served; in-flight batches finish on their old model.
   EngineOptions opts = BaseOptions();
   opts.max_batch_size = 4;
-  opts.max_wait_us = 200;
   MatcherEngine engine(Matcher(), opts);
 
   // Pre-build the rotation so the swapper's loop is tight.
